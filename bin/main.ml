@@ -1328,9 +1328,9 @@ let request_cmd =
   Cmd.v
     (Cmd.info "request"
        ~doc:
-         "Send a batch of requests to a running `lowerbound serve` (or a `lowerbound shard` \
-          router) over its Unix socket or TCP address ($(b,--connect)) and print the \
-          responses (exit 1 on any error, timeout or failing table).")
+         "Send a batch of requests to a running `lowerbound serve` over its Unix socket or \
+          TCP address ($(b,--connect)) and print the responses (exit 1 on any error, \
+          timeout or failing table).")
     Term.(
       const run $ logging $ connect_arg $ specs_arg $ quick_flag $ certify_arg $ conform_arg
       $ otype_arg $ schedules_arg $ plan_arg $ ops_arg $ n_arg $ seed_arg $ metrics_flag
@@ -1470,191 +1470,15 @@ let chaos_cmd =
       const run $ logging $ seed_arg $ drills_arg $ report_arg $ retry_attempts_arg
       $ no_supervise_flag $ no_bench_flag $ list_flag $ list_plans_flag $ tcp_flag)
 
-let shard_cmd =
-  let shards_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "shards" ] ~docv:"N"
-          ~doc:"Worker count: shard $(i,i) of $(docv) owns the keys with content hash mod \
-                $(docv) = $(i,i).")
-  in
-  let cache_dir_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache-dir" ] ~docv:"DIR"
-          ~doc:
-            "Give each worker a persistent cache journal at $(docv)/shard-$(i,i).jsonl \
-             (created if missing); without it workers cache in memory only.")
-  in
-  let capacity_arg =
-    Arg.(
-      value & opt int 256
-      & info [ "capacity" ] ~docv:"K" ~doc:"Per-worker in-memory LRU capacity (entries).")
-  in
-  let max_requests_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "max-requests" ] ~docv:"K"
-          ~doc:
-            "Stop the fleet after forwarding $(docv) requests (0 = route until shutdown).")
-  in
-  let status_flag =
-    Arg.(
-      value & flag
-      & info [ "status" ]
-          ~doc:
-            "Instead of launching: send the router-only $(b,{\"op\": \"shards\"}) probe to a \
-             running router at the given address and print the fleet topology (per-worker \
-             address, connectivity, forwarded counts, live metrics).")
-  in
-  let quiet_flag =
-    Arg.(value & flag & info [ "silent" ] ~doc:"Suppress router progress lines.")
-  in
-  let run () address shards cache_dir capacity jobs max_requests status quiet =
-    let transport = transport_of_string_exn address in
-    if status then begin
-      match
-        Lb_service.Client.call ~transport ~timeout_s:10.0
-          [ Json.Obj [ ("op", Json.Str "shards") ] ]
-      with
-      | Error e ->
-        Format.printf "status failed: %s@." (Lb_service.Client.error_message e);
-        1
-      | Ok responses ->
-        List.iter
-          (fun r -> Format.printf "%s@." (Json.to_string ~pretty:true r))
-          responses;
-        0
-    end
-    else begin
-      if shards < 1 then begin
-        Format.eprintf "--shards must be >= 1@.";
-        exit 2
-      end;
-      (* Workers are OS processes: there is no channel to learn a
-         kernel-assigned port back from a child, so a TCP fleet needs an
-         explicit router port (workers then take port+1+i). *)
-      (match transport with
-      | Lb_service.Transport.Tcp { port = 0; _ } ->
-        Format.eprintf
-          "a TCP shard fleet needs an explicit router port (workers listen on port+1+i)@.";
-        exit 2
-      | _ -> ());
-      Option.iter
-        (fun dir ->
-          try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-        cache_dir;
-      let jobs = resolve_jobs jobs in
-      let workers =
-        List.init shards (fun i -> Lb_service.Shard.worker_transport ~base:transport i)
-      in
-      let exe = Sys.executable_name in
-      let pids =
-        List.mapi
-          (fun i wt ->
-            let argv =
-              [ exe; "serve"; "--listen"; Lb_service.Transport.to_string wt;
-                "--capacity"; string_of_int capacity; "--jobs"; string_of_int jobs;
-                "--supervise"; "--silent" ]
-              @ (match cache_dir with
-                | None -> []
-                | Some dir ->
-                  [ "--cache"; Filename.concat dir (Printf.sprintf "shard-%d.jsonl" i) ])
-            in
-            Unix.create_process exe (Array.of_list argv) Unix.stdin Unix.stdout Unix.stderr)
-          workers
-      in
-      let reap () = List.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids in
-      if
-        not
-          (List.for_all
-             (fun wt -> Lb_service.Client.wait_ready ~transport:wt ())
-             workers)
-      then begin
-        Format.eprintf "a shard worker never came up@.";
-        List.iter
-          (fun wt ->
-            ignore
-              (Lb_service.Client.call ~transport:wt ~timeout_s:2.0
-                 [ Json.Obj [ ("op", Json.Str "shutdown") ] ]))
-          workers;
-        reap ();
-        1
-      end
-      else begin
-        let log = if quiet then fun _ -> () else fun line -> Format.printf "%s@." line in
-        let max_requests = if max_requests > 0 then Some max_requests else None in
-        let ready t =
-          if not quiet then
-            Format.printf "router on %s over %d shard(s)@."
-              (Lb_service.Transport.to_string t) shards
-        in
-        let stats =
-          Lb_service.Router.route ~transport ~workers ?max_requests ~ready ~log ()
-        in
-        (* Belt and braces: route shuts workers down on shutdown/max-requests,
-           but a signal stop leaves them serving — tell them again, then reap. *)
-        List.iter
-          (fun wt ->
-            ignore
-              (Lb_service.Client.call ~transport:wt ~timeout_s:2.0
-                 [ Json.Obj [ ("op", Json.Str "shutdown") ] ]))
-          workers;
-        reap ();
-        Format.printf
-          "router: forwarded %d request(s) in %d batch(es) over %d connection(s), %d \
-           reconnect(s)@."
-          stats.Lb_service.Router.forwarded stats.Lb_service.Router.batches
-          stats.Lb_service.Router.clients stats.Lb_service.Router.reconnects;
-        0
-      end
-    end
-  in
-  Cmd.v
-    (Cmd.info "shard"
-       ~doc:
-         "Run an N-process sharded deployment: N supervised `lowerbound serve` workers (one \
-          OS process each, own cache journal) behind a router that owns the public address \
-          and forwards every request to the worker owning its content-hash slice (hash mod \
-          N).  Clients cannot tell a router from a single server.  $(b,--status) inspects a \
-          running fleet.  See docs/SCALING.md.")
-    Term.(
-      const run $ logging $ listen_arg $ shards_arg $ cache_dir_arg $ capacity_arg
-      $ jobs_arg $ max_requests_arg $ status_flag $ quiet_flag)
-
 let loadgen_cmd =
   let connect_arg =
     Arg.(
-      value
+      required
       & opt (some string) None
       & info [ "connect" ] ~docv:"ADDR"
           ~doc:
-            "Measure an already-running server or router at $(docv) instead of spawning \
-             fleets (label the run with $(b,--shards)).")
-  in
-  let shards_label_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "With $(b,--connect): the worker count behind the address — only labels the \
-             bench rows (loadgen/$(docv)shard/...).")
-  in
-  let spawn_arg =
-    Arg.(
-      value & opt string "1,3"
-      & info [ "spawn-shards" ] ~docv:"LIST"
-          ~doc:
-            "Comma-separated shard counts: for each, spawn an in-process fleet (workers + \
-             router, fresh caches), measure it, and tear it down — the default `1,3` \
-             records the scaling pair docs/SCALING.md reads.  Ignored with $(b,--connect).")
-  in
-  let tcp_flag =
-    Arg.(
-      value & flag
-      & info [ "tcp" ]
-          ~doc:"Spawn fleets on ephemeral loopback TCP ports instead of Unix sockets.")
+            "Address of the running $(b,serve) to measure: a Unix-domain socket path, or \
+             $(i,HOST):$(i,PORT) (equally $(b,tcp:)$(i,HOST):$(i,PORT)) for TCP.")
   in
   let clients_arg =
     Arg.(value & opt int 4 & info [ "clients" ] ~docv:"C" ~doc:"Concurrent closed-loop clients.")
@@ -1696,11 +1520,6 @@ let loadgen_cmd =
       value & flag
       & info [ "experiments" ] ~doc:"Mix ~2% quick experiment requests into the schedule.")
   in
-  let capacity_arg =
-    Arg.(
-      value & opt int 256
-      & info [ "capacity" ] ~docv:"K" ~doc:"Per-worker LRU capacity for spawned fleets.")
-  in
   let timeout_arg =
     Arg.(
       value & opt float 30.0
@@ -1711,8 +1530,8 @@ let loadgen_cmd =
       value & flag
       & info [ "no-bench" ] ~doc:"Skip appending the results to BENCH_service.json.")
   in
-  let run () connect shards_label spawn tcp clients requests warmup hit_ratio hot_tags size
-      work experiments seed timeout capacity no_bench =
+  let run () connect clients requests warmup hit_ratio hot_tags size work experiments seed
+      timeout no_bench =
     let cfg =
       {
         Lb_service.Loadgen.clients;
@@ -1731,95 +1550,30 @@ let loadgen_cmd =
      with Invalid_argument msg ->
        Format.eprintf "%s@." msg;
        exit 2);
-    let results =
-      match connect with
-      | Some address ->
-        let transport = transport_of_string_exn address in
-        [ Lb_service.Loadgen.run ~transport ~shards:shards_label cfg ]
-      | None ->
-        let counts =
-          String.split_on_char ',' spawn |> List.map String.trim
-          |> List.filter (fun s -> s <> "")
-          |> List.map (fun s ->
-                 match int_of_string_opt s with
-                 | Some n when n >= 1 -> n
-                 | _ ->
-                   Format.eprintf "bad --spawn-shards entry %S@." s;
-                   exit 2)
-        in
-        if counts = [] then begin
-          Format.eprintf "--spawn-shards is empty@.";
-          exit 2
-        end;
-        List.map
-          (fun n ->
-            let base =
-              if tcp then Lb_service.Transport.Tcp { host = "127.0.0.1"; port = 0 }
-              else
-                Lb_service.Transport.Unix_socket
-                  (Filename.concat (Filename.get_temp_dir_name ())
-                     (Printf.sprintf "lb-loadgen-%d-%d.sock" (Unix.getpid ()) n))
-            in
-            let executor_of _shard =
-              Lb_service.Executor.create ~jobs:1
-                ~cache:(Lb_service.Cache.create ~capacity ())
-                ~compute:Lb_service.Catalog.compute ()
-            in
-            let fleet =
-              Lb_service.Router.launch_fleet ~shards:n ~transport:base ~executor_of
-                ~log:(fun _ -> ())
-                ()
-            in
-            Fun.protect
-              ~finally:(fun () -> ignore (fleet.Lb_service.Router.stop ()))
-              (fun () ->
-                Format.printf "measuring %d shard(s) at %s ...@." n
-                  (Lb_service.Transport.to_string fleet.Lb_service.Router.address);
-                Lb_service.Loadgen.run ~transport:fleet.Lb_service.Router.address
-                  ~shards:n cfg))
-          counts
-    in
-    List.iter (fun r -> Format.printf "%a@." Lb_service.Loadgen.pp_result r) results;
+    let r = Lb_service.Loadgen.run ~transport:(transport_of_string_exn connect) cfg in
+    Format.printf "%a@." Lb_service.Loadgen.pp_result r;
     if not no_bench then begin
-      let rows r =
-        match Lb_service.Loadgen.bench_payload r with
-        | Json.Obj fields -> (
-          match List.assoc_opt "benchmarks" fields with
-          | Some (Json.Arr rows) -> rows
-          | _ -> [])
-        | _ -> []
-      in
-      let payload =
-        Json.Obj
-          [
-            ("benchmarks", Json.Arr (List.concat_map rows results));
-            ("loadgen", Json.Arr (List.map Lb_service.Loadgen.result_json results));
-          ]
-      in
       let path =
         Bench_out.append ~suite:"service"
           ~meta:[ ("kind", Json.Str "loadgen"); ("seed", Json.Int seed) ]
-          payload
+          (Lb_service.Loadgen.bench_payload r)
       in
       Format.printf "loadgen rows appended to %s@." path
     end;
-    if List.for_all (fun r -> r.Lb_service.Loadgen.errors = 0) results then 0 else 1
+    if r.Lb_service.Loadgen.errors = 0 then 0 else 1
   in
   Cmd.v
     (Cmd.info "loadgen"
        ~doc:
          "Run the seeded closed-loop load generator: C concurrent clients drive a \
-          deterministic hit/miss request schedule at a server or shard router, recording \
-          throughput and p50/p99/p999 latency into BENCH_service.json as \
-          loadgen/<N>shard/* rows the bench gate can baseline.  By default spawns \
-          in-process 1-shard and 3-shard fleets to record the scaling pair; \
-          $(b,--connect) measures a deployment you already started.  See docs/SCALING.md \
-          for methodology and how to read the rows.")
+          deterministic hit/miss request schedule at a running server ($(b,--connect)), \
+          recording throughput and p50/p99/p999 latency into BENCH_service.json as \
+          loadgen/* rows the bench gate can baseline.  See docs/SCALING.md for \
+          methodology and how to read the rows.")
     Term.(
-      const run $ logging $ connect_arg $ shards_label_arg $ spawn_arg $ tcp_flag
-      $ clients_arg $ requests_arg $ warmup_arg $ hit_ratio_arg $ hot_tags_arg $ size_arg
-      $ work_arg $ experiments_flag $ seed_arg $ timeout_arg $ capacity_arg
-      $ no_bench_flag)
+      const run $ logging $ connect_arg $ clients_arg $ requests_arg $ warmup_arg
+      $ hit_ratio_arg $ hot_tags_arg $ size_arg $ work_arg $ experiments_flag $ seed_arg
+      $ timeout_arg $ no_bench_flag)
 
 let main_cmd =
   let doc =
@@ -1831,7 +1585,7 @@ let main_cmd =
     [
       exp_cmd; corpus_cmd; analyze_cmd; trace_cmd; sweep_cmd; explore_cmd; litmus_cmd;
       profile_cmd; upsets_cmd; faults_cmd; conform_cmd; hw_cmd; serve_cmd; request_cmd;
-      chaos_cmd; shard_cmd; loadgen_cmd;
+      chaos_cmd; loadgen_cmd;
     ]
 
 let () = exit (Cmd.eval' main_cmd)

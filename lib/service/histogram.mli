@@ -12,8 +12,7 @@
     The structure is a pure function of the multiset of added values:
     same observations, same buckets, same quantiles — in any order, on
     any machine.  That determinism is what makes loadgen runs
-    comparable across shard counts and against the {!Bench_gate}
-    baseline. *)
+    comparable across runs and against the {!Bench_gate} baseline. *)
 
 type t
 

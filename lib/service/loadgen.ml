@@ -27,8 +27,14 @@ let default =
     timeout_s = 30.0;
   }
 
+(* Every client is a domain, and the runtime caps a process at 128 live
+   domains, one of them the caller's: past that, Domain.spawn fails. *)
+let max_clients = 127
+
 let validate cfg =
   if cfg.clients < 1 then invalid_arg "Loadgen: clients < 1";
+  if cfg.clients > max_clients then
+    invalid_arg (Printf.sprintf "Loadgen: clients > %d (one domain per client)" max_clients);
   if cfg.requests_per_client < 1 then invalid_arg "Loadgen: requests_per_client < 1";
   if cfg.warmup < 0 then invalid_arg "Loadgen: warmup < 0";
   if cfg.hit_ratio < 0.0 || cfg.hit_ratio > 1.0 then
@@ -107,7 +113,6 @@ let read_line fd buf ~timeout_s =
 
 type result = {
   config : config;
-  shards : int;
   measured : int;
   errors : int;
   elapsed_s : float;
@@ -184,7 +189,7 @@ let client_loop ~transport cfg client =
   drop ();
   (hist, !errors, !measured_from, Unix.gettimeofday ())
 
-let run ~transport ?(shards = 1) cfg =
+let run ~transport cfg =
   validate cfg;
   let domains =
     List.init cfg.clients (fun c -> Domain.spawn (fun () -> client_loop ~transport cfg c))
@@ -200,7 +205,6 @@ let run ~transport ?(shards = 1) cfg =
   let measured = Histogram.count latency in
   {
     config = cfg;
-    shards;
     measured;
     errors;
     elapsed_s;
@@ -227,7 +231,6 @@ let result_json r =
   Json.Obj
     [
       ("kind", Json.Str "loadgen");
-      ("shards", Json.Int r.shards);
       ("config", config_json r.config);
       ("measured", Json.Int r.measured);
       ("errors", Json.Int r.errors);
@@ -237,21 +240,19 @@ let result_json r =
     ]
 
 (* Bench_gate-compatible rows: percentiles (and the mean service rate)
-   as ns_per_run, named by shard count so 1-shard and N-shard runs land
-   as distinct comparable series. *)
+   as ns_per_run. *)
 let bench_payload r =
   let ns q = Json.Float (Histogram.quantile r.latency q *. 1e9) in
   let row name v = Json.Obj [ ("name", Json.Str name); ("ns_per_run", v) ] in
-  let prefix = Printf.sprintf "loadgen/%dshard" r.shards in
   Json.Obj
     [
       ( "benchmarks",
         Json.Arr
           [
-            row (prefix ^ "/p50") (ns 0.5);
-            row (prefix ^ "/p99") (ns 0.99);
-            row (prefix ^ "/p999") (ns 0.999);
-            row (prefix ^ "/mean")
+            row "loadgen/p50" (ns 0.5);
+            row "loadgen/p99" (ns 0.99);
+            row "loadgen/p999" (ns 0.999);
+            row "loadgen/mean"
               (Json.Float
                  (if r.measured = 0 then 0.0
                   else Histogram.sum r.latency /. float_of_int r.measured *. 1e9));
@@ -262,5 +263,5 @@ let bench_payload r =
 let pp_result ppf r =
   let q p = Histogram.quantile r.latency p *. 1e3 in
   Format.fprintf ppf
-    "%d shard(s): %d requests in %.2fs = %.0f req/s  p50=%.2fms p99=%.2fms p999=%.2fms errors=%d"
-    r.shards r.measured r.elapsed_s r.throughput_rps (q 0.5) (q 0.99) (q 0.999) r.errors
+    "%d requests in %.2fs = %.0f req/s  p50=%.2fms p99=%.2fms p999=%.2fms errors=%d"
+    r.measured r.elapsed_s r.throughput_rps (q 0.5) (q 0.99) (q 0.999) r.errors

@@ -1,10 +1,9 @@
 (** A seeded closed-loop load generator for the request service.
 
     Each of [clients] concurrent clients holds one persistent connection
-    ({!Transport.connect} — Unix socket or TCP, router or single server,
-    the generator cannot tell) and drives its own deterministic request
-    schedule closed-loop: the next request leaves only after the
-    previous reply lands.  Latencies go into a per-client
+    ({!Transport.connect} — Unix socket or TCP) to one running server
+    and drives its own deterministic request schedule closed-loop: the
+    next request leaves only after the previous reply lands.  Latencies go into a per-client
     {!Histogram.t}; after the run the histograms merge and throughput is
     measured requests over the measured wall-clock window (warmup
     excluded).
@@ -20,11 +19,13 @@
     course, are not deterministic; only the schedule is.
 
     Results append to [BENCH_service.json] via {!bench_payload} as
-    [loadgen/<N>shard/p50|p99|p999|mean] rows that {!Bench_gate} can
-    baseline and compare — see docs/SCALING.md for how to read them. *)
+    [loadgen/p50|p99|p999|mean] rows that {!Bench_gate} can baseline and
+    compare — see docs/SCALING.md for how to read them. *)
 
 type config = {
-  clients : int;  (** concurrent closed-loop clients (>= 1). *)
+  clients : int;
+      (** concurrent closed-loop clients, in [[1, 127]]: each is a domain,
+          and the runtime caps a process at 128. *)
   requests_per_client : int;  (** measured requests per client (>= 1). *)
   warmup : int;  (** leading requests per client excluded from stats. *)
   hit_ratio : float;  (** probability in [[0,1]] of drawing a hot tag. *)
@@ -47,7 +48,6 @@ val schedule : config -> client:int -> Request.t list
 
 type result = {
   config : config;
-  shards : int;  (** the shard count this run was labelled with. *)
   measured : int;  (** requests in the measured window (all clients). *)
   errors : int;  (** measured requests with no ["ok"] reply. *)
   elapsed_s : float;  (** measured wall-clock window. *)
@@ -55,13 +55,11 @@ type result = {
   latency : Histogram.t;  (** merged measured latencies. *)
 }
 
-val run : transport:Transport.t -> ?shards:int -> config -> result
-(** Run the generator against [transport].  [shards] (default 1) only
-    labels the result for reporting — pass the actual worker count when
-    driving a router so the bench rows land in the right series.
-    A failed call is retried once on a fresh connection; a request whose
-    retry also fails (or whose reply is not [status = "ok"]) counts in
-    [errors] with its observed latency still recorded.  Raises
+val run : transport:Transport.t -> config -> result
+(** Run the generator against [transport].  A failed call is retried
+    once on a fresh connection; a request whose retry also fails (or
+    whose reply is not [status = "ok"]) counts in [errors] with its
+    observed latency still recorded.  Raises
     [Invalid_argument] on an invalid config. *)
 
 val result_json : result -> Lb_observe.Json.t
@@ -70,8 +68,8 @@ val result_json : result -> Lb_observe.Json.t
 
 val bench_payload : result -> Lb_observe.Json.t
 (** A {!Bench_out} payload: [{benchmarks: [{name; ns_per_run}]}] rows
-    ([loadgen/<N>shard/p50], [/p99], [/p999], [/mean]) plus the full
+    ([loadgen/p50], [/p99], [/p999], [/mean]) plus the full
     {!result_json} under ["loadgen"]. *)
 
 val pp_result : Format.formatter -> result -> unit
-(** One human line: shard count, throughput, p50/p99/p999 (ms), errors. *)
+(** One human line: throughput, p50/p99/p999 (ms), errors. *)

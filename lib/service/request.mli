@@ -47,8 +47,7 @@ type spec =
           use echoes as cheap, distinct, verifiable cargo — every
           invariant about caching, journalling and retries can be checked
           without paying for a real experiment, and [work] dials in a
-          known per-miss compute cost so the sharding speedup is
-          measurable. *)
+          known per-miss compute cost. *)
 
 type t = { spec : spec; jobs : int }
 

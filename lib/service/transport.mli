@@ -1,12 +1,12 @@
 (** The service transport: one address abstraction over Unix-domain
     sockets and TCP, used by every socket-touching layer — {!Server},
-    {!Client}, {!Router}, {!Drill}, {!Loadgen} and the CLI.
+    {!Client}, {!Drill}, {!Loadgen} and the CLI.
 
     An address is either a filesystem socket path ({!Unix_socket}, the
     single-host default: no ports, no firewalls, kernel-enforced
-    permissions) or a [host:port] endpoint ({!Tcp}, the scale-out
-    transport: a router and its shard workers, or a remote load
-    generator, reach the service over loopback or a real network).  The
+    permissions) or a [host:port] endpoint ({!Tcp}, the deployment
+    setting for clients or a load generator that reach the server over
+    loopback or a real network).  The
     wire protocol above the transport — line-delimited JSON, one reply
     per request — is byte-identical on both; the TCP parity test in
     [suite_service] pins that the {e same request} yields the {e

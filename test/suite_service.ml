@@ -1,7 +1,8 @@
 (* The experiment service layer (lib/service): request content hashing,
    the LRU + JSONL result cache, the batching executor (cache hits,
-   in-flight dedup, error isolation, timeouts) and the Unix-socket server
-   under concurrent clients.
+   in-flight dedup, error isolation, timeouts), the Unix-socket server
+   under concurrent clients, the latency histogram and the load
+   generator.
 
    The load-bearing properties:
    - the content hash is a function of the computation, not its encoding —
@@ -1026,6 +1027,182 @@ let t_transport_parse_total =
       | Error _ -> true
       | Ok t -> Transport.of_string (Transport.to_string t) = Ok t)
 
+(* ---- the latency histogram ---- *)
+
+let t_histogram_quantiles () =
+  let h = Histogram.create () in
+  for i = 1 to 100 do
+    Histogram.add h (float_of_int i *. 0.001)
+  done;
+  Alcotest.(check int) "count" 100 (Histogram.count h);
+  Alcotest.(check bool) "p50 within bucket tolerance of 50ms" true
+    (Float.abs (Histogram.quantile h 0.5 -. 0.050) /. 0.050 < 0.05);
+  Alcotest.(check (float 1e-12)) "q=1 is the exact max" 0.1 (Histogram.quantile h 1.0);
+  Alcotest.(check (float 1e-12)) "q=0 is the exact min" 0.001 (Histogram.quantile h 0.0);
+  (try
+     ignore (Histogram.quantile h 1.5);
+     Alcotest.fail "q outside [0,1] must raise"
+   with Invalid_argument _ -> ());
+  Alcotest.(check (float 0.0)) "empty histogram quantile is 0" 0.0
+    (Histogram.quantile (Histogram.create ()) 0.9)
+
+let t_histogram_merge_deterministic () =
+  (* Interleave one value stream into two histograms; their merge must
+     agree with the histogram that saw everything — the structure is a
+     pure function of the multiset, not of arrival order. *)
+  let xs = List.init 200 (fun i -> float_of_int (i * 7919 mod 200) *. 0.0005) in
+  let a = Histogram.create () and b = Histogram.create () and whole = Histogram.create () in
+  List.iteri
+    (fun i v ->
+      Histogram.add (if i mod 2 = 0 then a else b) v;
+      Histogram.add whole v)
+    xs;
+  let merged = Histogram.merge a b in
+  Alcotest.(check int) "counts add under merge" 200 (Histogram.count merged);
+  Alcotest.(check (float 1e-12)) "sums add under merge" (Histogram.sum whole)
+    (Histogram.sum merged);
+  List.iter
+    (fun q ->
+      Alcotest.(check (float 1e-12))
+        (Printf.sprintf "q=%g agrees with the unsplit stream" q)
+        (Histogram.quantile whole q) (Histogram.quantile merged q))
+    [ 0.0; 0.5; 0.9; 0.99; 1.0 ]
+
+(* Adversarial latency values for the property tests: exact log-linear
+   bucket boundaries (1e-6 * 1.04^k) and their floating-point
+   neighbours — the values where an off-by-one in the bucket index or
+   an open/closed boundary mix-up would surface — plus the documented
+   clamp cases (NaN, negative) and far-tail values. *)
+let gen_latency =
+  QCheck.Gen.(
+    oneof
+      [
+        (let* k = 0 -- 220 in
+         let* nudge = oneofl [ Float.pred; Fun.id; Float.succ ] in
+         return (nudge (1e-6 *. (1.04 ** float_of_int k))));
+        oneofl [ 0.0; 1e-6; -1.0; Float.nan; 5000.0 ];
+        float_bound_inclusive 0.5;
+      ])
+
+let histogram_of vs =
+  let h = Histogram.create () in
+  List.iter (Histogram.add h) vs;
+  h
+
+let quantile_grid = [ 0.0; 0.001; 0.25; 0.5; 0.9; 0.99; 0.999; 1.0 ]
+
+let t_histogram_merge_splits =
+  prop ~count:300 "histogram: merge = unsplit stream at every split, boundary values"
+    (QCheck.make
+       ~print:QCheck.Print.(pair (list float) (list float))
+       QCheck.Gen.(pair (list_size (0 -- 60) gen_latency) (list_size (0 -- 60) gen_latency)))
+    (fun (xs, ys) ->
+      let merged = Histogram.merge (histogram_of xs) (histogram_of ys) in
+      let whole = histogram_of (xs @ ys) in
+      Histogram.count merged = Histogram.count whole
+      && Float.abs (Histogram.sum merged -. Histogram.sum whole)
+         <= 1e-9 *. (1.0 +. Float.abs (Histogram.sum whole))
+      && List.for_all
+           (fun q ->
+             (* buckets, count, min and max merge exactly, so quantiles
+                must agree to the last bit, not within tolerance. *)
+             Float.equal (Histogram.quantile merged q) (Histogram.quantile whole q))
+           quantile_grid)
+
+let t_histogram_quantile_monotone =
+  prop ~count:300 "histogram: quantile is monotone in q"
+    (QCheck.make
+       ~print:QCheck.Print.(triple (list float) float float)
+       QCheck.Gen.(
+         triple
+           (list_size (0 -- 60) gen_latency)
+           (float_bound_inclusive 1.0) (float_bound_inclusive 1.0)))
+    (fun (vs, qa, qb) ->
+      let h = histogram_of vs in
+      Histogram.quantile h (Float.min qa qb) <= Histogram.quantile h (Float.max qa qb))
+
+let t_histogram_quantiles_bounded =
+  prop ~count:300 "histogram: every quantile lies in the observed [min, max]"
+    (QCheck.make
+       ~print:QCheck.Print.(pair (list float) float)
+       QCheck.Gen.(pair (list_size (1 -- 60) gen_latency) (float_bound_inclusive 1.0)))
+    (fun (vs, q) ->
+      let h = histogram_of vs in
+      let v = Histogram.quantile h q in
+      Histogram.quantile h 0.0 <= v && v <= Histogram.quantile h 1.0)
+
+(* ---- the load generator's schedule ---- *)
+
+let t_loadgen_schedule_deterministic () =
+  let cfg =
+    { Loadgen.default with clients = 2; requests_per_client = 40; warmup = 5; seed = 9 }
+  in
+  let a = Loadgen.schedule cfg ~client:0 in
+  Alcotest.(check bool) "same seed, same schedule" true (a = Loadgen.schedule cfg ~client:0);
+  Alcotest.(check int) "warmup + measured requests" 45 (List.length a);
+  Alcotest.(check bool) "different seed, different schedule" false
+    (a = Loadgen.schedule { cfg with seed = 10 } ~client:0);
+  Alcotest.(check bool) "different client, different schedule" false
+    (a = Loadgen.schedule cfg ~client:1)
+
+let t_loadgen_mix_respects_ratio () =
+  let cfg =
+    { Loadgen.default with hit_ratio = 0.0; hot_tags = 4; requests_per_client = 50; warmup = 0 }
+  in
+  let keys schedule = List.sort_uniq compare (List.map Request.key schedule) in
+  Alcotest.(check int) "hit_ratio 0: every key distinct (all misses)" 50
+    (List.length (keys (Loadgen.schedule cfg ~client:0)));
+  Alcotest.(check bool) "hit_ratio 1: keys drawn from the hot pool" true
+    (List.length (keys (Loadgen.schedule { cfg with hit_ratio = 1.0 } ~client:0)) <= 4)
+
+let t_loadgen_rejects_invalid_configs () =
+  let rejects what cfg =
+    match Loadgen.schedule cfg ~client:0 with
+    | _ -> Alcotest.failf "%s must raise Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "clients = 0" { Loadgen.default with clients = 0 };
+  (* one domain per client: past the runtime's domain cap the run would
+     die in Domain.spawn, so the config is refused up front. *)
+  rejects "clients = 200" { Loadgen.default with clients = 200 };
+  rejects "hit_ratio > 1" { Loadgen.default with hit_ratio = 1.5 };
+  (* the largest accepted client count *)
+  ignore (Loadgen.schedule { Loadgen.default with clients = 127 } ~client:126)
+
+(* The generator against a live server over TCP: every measured request
+   lands, and the bench payload carries the four loadgen rows. *)
+let t_loadgen_against_server () =
+  with_toy_server ~tcp:true (fun transport ->
+      let cfg =
+        {
+          Loadgen.default with
+          clients = 2;
+          requests_per_client = 15;
+          warmup = 2;
+          work = 50;
+          timeout_s = 30.0;
+        }
+      in
+      let r = Loadgen.run ~transport cfg in
+      Alcotest.(check int) "all measured requests recorded" 30 r.Loadgen.measured;
+      Alcotest.(check int) "no errors against a healthy server" 0 r.Loadgen.errors;
+      Alcotest.(check bool) "throughput is positive" true (r.Loadgen.throughput_rps > 0.0);
+      match Loadgen.bench_payload r with
+      | Json.Obj fields -> (
+        match List.assoc_opt "benchmarks" fields with
+        | Some (Json.Arr rows) ->
+          let names =
+            List.filter_map
+              (fun row -> Option.bind (Json.member "name" row) Json.to_str_opt)
+              rows
+          in
+          Alcotest.(check (list string))
+            "bench rows"
+            [ "loadgen/p50"; "loadgen/p99"; "loadgen/p999"; "loadgen/mean" ]
+            names
+        | _ -> Alcotest.fail "bench payload has no benchmarks array")
+      | _ -> Alcotest.fail "bench payload is not an object")
+
 let suite =
   [
     Alcotest.test_case "request: distinct requests, distinct keys" `Quick
@@ -1084,4 +1261,19 @@ let suite =
     Alcotest.test_case "transport: address grammar pins" `Quick t_transport_grammar;
     t_transport_roundtrip;
     t_transport_parse_total;
+    Alcotest.test_case "histogram: quantiles, exact extremes, validation" `Quick
+      t_histogram_quantiles;
+    Alcotest.test_case "histogram: merge agrees with the unsplit stream" `Quick
+      t_histogram_merge_deterministic;
+    t_histogram_merge_splits;
+    t_histogram_quantile_monotone;
+    t_histogram_quantiles_bounded;
+    Alcotest.test_case "loadgen: schedule is a pure function of the config" `Quick
+      t_loadgen_schedule_deterministic;
+    Alcotest.test_case "loadgen: hit ratio shapes the key population" `Quick
+      t_loadgen_mix_respects_ratio;
+    Alcotest.test_case "loadgen: invalid configs are rejected" `Quick
+      t_loadgen_rejects_invalid_configs;
+    Alcotest.test_case "loadgen: a server run measures every request" `Slow
+      t_loadgen_against_server;
   ]
