@@ -12,8 +12,8 @@
      bench/BASELINE_service.json, tolerance +300% by default — socket
      round-trip percentiles vary far more across runner generations than
      in-process ns/op, and the gate is for catching order-of-magnitude
-     regressions (a lost TCP_NODELAY, an accidental O(n) in the router),
-     not 2x runner jitter.
+     regressions (a lost TCP_NODELAY, an accidental extra round trip per
+     request), not 2x runner jitter.
 
    The comparison policy lives in Bench_gate (lib/observe), where the test
    suite pins it: only regressions fail; benchmarks missing from the

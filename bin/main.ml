@@ -697,20 +697,35 @@ let hw_cmd =
       & info [ "wakeup" ] ~docv:"ALGORITHM"
           ~doc:"Run a wakeup-corpus algorithm on hardware instead of a construction.")
   in
+  (* Unknown names are usage errors (exit 2) listing the valid names.
+     consensus-list is not offered: its cells live in the open-ended tail
+     of the register space, which the fixed-size hardware register file
+     does not have. *)
+  let usage_error fmt =
+    Format.kasprintf
+      (fun msg ->
+        Format.eprintf "%s@." msg;
+        exit 2)
+      fmt
+  in
   let constructions_of name =
     let hw_targets =
       List.filter (fun (c : Iface.t) -> c.Iface.name <> "consensus-list") Fault_targets.all
     in
     if name = "all" then hw_targets
     else
-      match Fault_targets.find name with
+      match List.find_opt (fun (c : Iface.t) -> c.Iface.name = name) hw_targets with
       | Some c -> [ c ]
       | None ->
-        failwith (Printf.sprintf "unknown construction %S (adt-tree, herlihy, direct, all)" name)
+        usage_error "unknown construction %S for hw (valid: %s, all)" name
+          (String.concat ", " (List.map (fun (c : Iface.t) -> c.Iface.name) hw_targets))
   in
   let run_wakeup name n seed =
     match Corpus.find name with
-    | None -> failwith (Printf.sprintf "unknown wakeup algorithm %S (see `lowerbound corpus`)" name)
+    | None ->
+      usage_error "unknown wakeup algorithm %S (valid: %s)" name
+        (String.concat ", "
+           (List.map (fun (e : Corpus.entry) -> e.Corpus.name) (Corpus.correct_algorithms ())))
     | Some entry ->
       let w = Hw_harness.run_wakeup ~make:entry.Corpus.make ~n ~seed () in
       Format.printf "%s on hardware, n=%d: results %s  (%.3f ms, %d shared ops, max/pid %d)@."

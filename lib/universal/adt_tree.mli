@@ -3,9 +3,9 @@
     Modelled on the Group-Update idea of Afek, Dauber and Touitou that the
     paper cites as the matching upper bound: processes sit at the leaves of a
     binary combining tree; pending operations propagate towards the root as
-    cumulative descriptor sets; the root register holds the object state plus
-    the response of every operation ever applied, and a successful SC on it
-    applies a whole batch at once.
+    descriptor sets holding each process's latest operation; the root
+    register holds the object state plus each process's latest response
+    (see {!Codec}), and a successful SC on it applies a whole batch at once.
 
     The per-node merge is attempted {e twice}; the standard helping argument
     makes that sufficient: if both of my SCs on a node fail, the second
@@ -19,8 +19,8 @@
     (LL + 2 validates + SC) = 8L; two absorb attempts of (LL + validate +
     SC) = 6; final response read = 1.  Worst case [8L + 9] — deterministic,
     wait-free, and independent of the schedule, for {e any} object type:
-    this is what makes the paper's Ω(log n) bound tight (given unbounded
-    registers, which the root record exploits). *)
+    this is what makes the paper's Ω(log n) bound tight (given registers of
+    Θ(n) words, which the tree nodes and the root record use). *)
 
 val construction : Iface.t
 (** [name = "adt-tree"], [oblivious = true],

@@ -23,26 +23,20 @@ module Dset = struct
 
   let encode ds = Value.List (List.map Desc.encode ds)
 
-  (* Merge two sorted duplicate-free lists. *)
-  let rec merge xs ys =
+  (* Merge two pid-sorted lists holding at most one descriptor per pid,
+     keeping the higher [seq] where both name the same pid. *)
+  let rec merge (xs : Desc.t list) (ys : Desc.t list) =
     match xs, ys with
     | [], rest | rest, [] -> rest
     | x :: xs', y :: ys' ->
-      let c = Desc.compare x y in
+      let c = Int.compare x.pid y.pid in
       if c < 0 then x :: merge xs' ys
       else if c > 0 then y :: merge xs ys'
-      else x :: merge xs' ys'
+      else (if x.seq >= y.seq then x else y) :: merge xs' ys'
 
   let union a b = encode (merge (decode a) (decode b))
   let add a d = union a (singleton d)
-
-  let subset a b =
-    let keys v = List.map Desc.key (decode v) in
-    let kb = keys b in
-    List.for_all (fun k -> List.mem k kb) (keys a)
-
   let cardinal v = List.length (Value.to_list v)
-  let mem v key = List.exists (fun d -> Desc.key d = key) (decode v)
 end
 
 module Root = struct
@@ -74,13 +68,18 @@ module Root = struct
   let initial state = encode { state; responses = [] }
 
   let find_response t ~key = List.assoc_opt key t.responses
-  let is_done t ~key = List.mem_assoc key t.responses
 
-  let insert_response responses key resp =
+  let is_done t ~key:(pid, seq) =
+    List.exists (fun ((p, s), _) -> p = pid && s >= seq) t.responses
+
+  (* Replace [pid]'s entry (or insert one, keeping pid order). *)
+  let insert_response responses ((pid, _) as key) resp =
     let rec go = function
       | [] -> [ (key, resp) ]
-      | ((k, _) as entry) :: rest ->
-        if compare key k < 0 then (key, resp) :: entry :: rest else entry :: go rest
+      | (((p, _), _) as entry) :: rest ->
+        if pid < p then (key, resp) :: entry :: rest
+        else if pid = p then (key, resp) :: rest
+        else entry :: go rest
     in
     go responses
 

@@ -1,10 +1,17 @@
 (** Wire format of the universal constructions.
 
-    Both constructions keep three kinds of data in (unbounded-size) shared
-    registers: operation descriptors, cumulative sets of descriptors, and the
-    root record pairing the object state with the map of responses to every
-    operation ever applied.  This module is the single place that knows how
-    those are encoded as {!Lb_memory.Value.t}. *)
+    Both constructions keep three kinds of data in shared registers:
+    operation descriptors, merged sets of descriptors, and the root record
+    pairing the object state with the responses of the latest applied
+    operations.  This module is the single place that knows how those are
+    encoded as {!Lb_memory.Value.t}.
+
+    {b Per-pid invariant.}  Every set and every root record holds at most
+    one entry per process: the one with the highest [seq].  This is sound
+    because a process issues operation [seq + 1] only after it has read
+    operation [seq]'s response from the root, so an older entry is never
+    needed again.  The encoded size of each value is therefore bounded by
+    the number of processes, not by the length of the history. *)
 
 open Lb_memory
 
@@ -24,43 +31,49 @@ module Desc : sig
   val decode : Value.t -> t
 end
 
-(** {1 Cumulative descriptor sets}
+(** {1 Descriptor sets}
 
-    Encoded as a [Value.List] of encoded descriptors, sorted by key and
-    duplicate-free.  Sets only ever grow (unions), which is what makes the
-    combining tree's "try twice" merge sound. *)
+    Encoded as a [Value.List] of encoded descriptors, sorted by pid, with at
+    most one descriptor per pid: the highest [seq] seen.  Union is a per-pid
+    maximum, so it is commutative, associative and idempotent, and a set's
+    seq for each pid only ever grows — which is what makes the combining
+    tree's "try twice" merge sound. *)
 
 module Dset : sig
   val empty : Value.t
   val singleton : Desc.t -> Value.t
   val decode : Value.t -> Desc.t list
-  (** Sorted by key. *)
+  (** Sorted by pid. *)
 
   val union : Value.t -> Value.t -> Value.t
   val add : Value.t -> Desc.t -> Value.t
-  val subset : Value.t -> Value.t -> bool
   val cardinal : Value.t -> int
-  val mem : Value.t -> int * int -> bool
 end
 
 (** {1 The root record}
 
-    [state] is the current object state; [responses] maps the key of every
-    applied operation to its response.  The response map doubles as the
-    "done" set preventing re-application. *)
+    [state] is the current object state; [responses] holds, for each
+    process that has had an operation applied, the key and response of its
+    latest one.  That entry doubles as the "done" marker preventing
+    re-application: [(pid, seq)] is done once the stored seq for [pid] is at
+    least [seq]. *)
 
 module Root : sig
-  type t = { state : Value.t; responses : ((int * int) * Value.t) list (* sorted by key *) }
+  type t = { state : Value.t; responses : ((int * int) * Value.t) list (* sorted by pid *) }
 
   val initial : Value.t -> Value.t
   (** Encoded record with the given initial state and no responses. *)
 
   val encode : t -> Value.t
   val decode : Value.t -> t
+
   val find_response : t -> key:int * int -> Value.t option
+  (** The response of exactly operation [key], while it is its process's
+      latest applied operation. *)
+
   val is_done : t -> key:int * int -> bool
 
   val absorb : Lb_objects.Spec.t -> t -> Desc.t list -> t
-  (** Apply, in key order, every descriptor not yet in the response map;
-      record the new responses. *)
+  (** Apply, in key order, every descriptor not yet done; each application
+      replaces its process's entry in the response map. *)
 end

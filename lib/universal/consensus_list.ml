@@ -29,11 +29,14 @@ let create layout ~n spec =
   let cell k = cell_base + k in
   (* Per-process local replay caches (single-writer: only process [pid]
      touches index [pid]).  [position] is the next cell to inspect; [state]
-     the object state after replaying all cells below it; [threaded] the
-     keys decided in cells below it. *)
+     the object state after replaying all cells below it; [threaded.(q)]
+     the highest seq of process [q] decided in a cell below it, or -1.  A
+     process proposes at cell k only after cells 0..k-1 are decided, so each
+     process's seqs increase along the cells and "(q, s) is threaded" is
+     exactly [threaded.(q) >= s]. *)
   let position = Array.make n 0 in
   let state = Array.make n spec.Lb_objects.Spec.init in
-  let threaded = Array.make n [] in
+  let threaded = Array.init n (fun _ -> Array.make n (-1)) in
   let apply ~pid ~seq op =
     if pid < 0 || pid >= n then
       invalid_arg (Printf.sprintf "consensus-list: pid %d out of range" pid);
@@ -50,10 +53,7 @@ let create layout ~n spec =
         if Value.equal announced Value.Unit then desc
         else
           let other = Codec.Desc.decode announced in
-          if
-            Codec.Desc.key other = my_key
-            || List.mem (Codec.Desc.key other) threaded.(pid)
-          then desc
+          if Codec.Desc.key other = my_key || threaded.(pid).(other.pid) >= other.seq then desc
           else other
       in
       let* decided_value = propose (cell k) (Codec.Desc.encode candidate) in
@@ -61,7 +61,7 @@ let create layout ~n spec =
       let state', response = spec.Lb_objects.Spec.apply state.(pid) decided.Codec.Desc.op in
       position.(pid) <- k + 1;
       state.(pid) <- state';
-      threaded.(pid) <- Codec.Desc.key decided :: threaded.(pid);
+      threaded.(pid).(decided.pid) <- decided.seq;
       if Codec.Desc.key decided = my_key then Program.return response else walk ()
     in
     walk ()

@@ -18,20 +18,39 @@ let test_desc_roundtrip () =
   Alcotest.check value "op" (Value.Str "op") d'.Codec.Desc.op;
   Alcotest.(check (pair int int)) "key" (3, 7) (Codec.Desc.key d)
 
+(* Per-pid seq domination: every descriptor of [a] is matched in [b] by a
+   descriptor of the same pid with at least its seq — the order the
+   bounded sets grow in. *)
+let dominated_by a b =
+  let db = Codec.Dset.decode b in
+  List.for_all
+    (fun (d : Codec.Desc.t) ->
+      List.exists
+        (fun (e : Codec.Desc.t) ->
+          e.Codec.Desc.pid = d.Codec.Desc.pid && e.Codec.Desc.seq >= d.Codec.Desc.seq)
+        db)
+    (Codec.Dset.decode a)
+
 let test_dset_union () =
   let a = Codec.Dset.add Codec.Dset.empty (desc 1 0 Value.Unit) in
   let b = Codec.Dset.add Codec.Dset.empty (desc 0 0 Value.Unit) in
   let u = Codec.Dset.union a b in
   Alcotest.(check int) "cardinal" 2 (Codec.Dset.cardinal u);
-  Alcotest.(check bool) "mem (1,0)" true (Codec.Dset.mem u (1, 0));
-  Alcotest.(check bool) "subset" true (Codec.Dset.subset a u);
-  (* Union is idempotent and ordered by key. *)
+  Alcotest.(check bool) "dominates a" true (dominated_by a u);
+  Alcotest.(check bool) "dominates b" true (dominated_by b u);
+  (* Union is idempotent and ordered by pid. *)
   Alcotest.check value "idempotent" u (Codec.Dset.union u u);
-  match Codec.Dset.decode u with
-  | [ d1; d2 ] ->
-    Alcotest.(check int) "sorted first" 0 d1.Codec.Desc.pid;
-    Alcotest.(check int) "sorted second" 1 d2.Codec.Desc.pid
-  | _ -> Alcotest.fail "shape"
+  (match Codec.Dset.decode u with
+   | [ d1; d2 ] ->
+     Alcotest.(check int) "sorted first" 0 d1.Codec.Desc.pid;
+     Alcotest.(check int) "sorted second" 1 d2.Codec.Desc.pid
+   | _ -> Alcotest.fail "shape");
+  (* A later descriptor of the same pid replaces the earlier one. *)
+  let later = Codec.Dset.add u (desc 1 1 Value.Unit) in
+  Alcotest.(check (list (pair int int)))
+    "latest per pid" [ (0, 0); (1, 1) ]
+    (List.map Codec.Desc.key (Codec.Dset.decode later));
+  Alcotest.check value "older ignored" later (Codec.Dset.add later (desc 1 0 Value.Unit))
 
 let test_root_absorb () =
   let spec = Counters.fetch_inc ~bits:62 in
@@ -130,7 +149,8 @@ let prop_dset_union_laws =
          Value.equal (a + b) (b + a)
          && Value.equal (a + (b + c)) (a + b + c)
          && Value.equal (a + a) a
-         && Codec.Dset.subset a (a + b)))
+         && dominated_by a (a + b)
+         && dominated_by b (a + b)))
 
 let prop_absorb_batch_order_irrelevant =
   (* Absorbing a batch is independent of the batch's presentation order
@@ -152,6 +172,175 @@ let prop_absorb_batch_order_irrelevant =
          let idempotent = Codec.Root.absorb spec a descs in
          Value.equal (Codec.Root.encode a) (Codec.Root.encode b)
          && Value.equal (Codec.Root.encode a) (Codec.Root.encode idempotent)))
+
+(* ---- bounded codec vs. the unbounded oracle ---- *)
+
+(* The unbounded encoding: sets keep every descriptor ever added, and the
+   root keeps the response of every operation ever applied.  The bounded
+   Codec must agree with it on every reachable state. *)
+module Oracle = struct
+  module Dset = struct
+    let decode v = List.map Codec.Desc.decode (Value.to_list v)
+    let encode ds = Value.List (List.map Codec.Desc.encode ds)
+
+    let rec merge xs ys =
+      match xs, ys with
+      | [], rest | rest, [] -> rest
+      | x :: xs', y :: ys' ->
+        let c = Codec.Desc.compare x y in
+        if c < 0 then x :: merge xs' ys
+        else if c > 0 then y :: merge xs ys'
+        else x :: merge xs' ys'
+
+    let union a b = encode (merge (decode a) (decode b))
+    let add a d = union a (Value.List [ Codec.Desc.encode d ])
+  end
+
+  module Root = struct
+    type t = Codec.Root.t = { state : Value.t; responses : ((int * int) * Value.t) list }
+
+    let find_response t ~key = List.assoc_opt key t.responses
+    let is_done t ~key = List.mem_assoc key t.responses
+
+    let insert_response responses key resp =
+      let rec go = function
+        | [] -> [ (key, resp) ]
+        | ((k, _) as entry) :: rest ->
+          if compare key k < 0 then (key, resp) :: entry :: rest else entry :: go rest
+      in
+      go responses
+
+    let absorb spec t descs =
+      List.fold_left
+        (fun t (d : Codec.Desc.t) ->
+          let key = Codec.Desc.key d in
+          if is_done t ~key then t
+          else
+            let state', response = spec.Spec.apply t.state d.Codec.Desc.op in
+            { state = state'; responses = insert_response t.responses key response })
+        t
+        (List.sort Codec.Desc.compare descs)
+  end
+end
+
+(* A random interleaving of per-pid-sequential descriptor streams, driven
+   through both encodings side by side.  Each process publishes its next
+   operation into its leaf only after it has looked up the previous one's
+   response (the constructions' invariant); leaves are merged into one
+   combining node; the root absorbs either the node or a single leaf.
+   Actions that are not enabled in the current state are skipped. *)
+type codec_action = Publish of int | Merge of int | Absorb_node | Absorb_leaf of int | Lookup of int
+
+let gen_codec_action ~n =
+  let open QCheck.Gen in
+  let pid = int_bound (n - 1) in
+  frequency
+    [
+      (3, map (fun p -> Publish p) pid);
+      (3, map (fun p -> Merge p) pid);
+      (2, return Absorb_node);
+      (1, map (fun p -> Absorb_leaf p) pid);
+      (3, map (fun p -> Lookup p) pid);
+    ]
+
+let show_codec_action = function
+  | Publish p -> Printf.sprintf "publish %d" p
+  | Merge p -> Printf.sprintf "merge %d" p
+  | Absorb_node -> "absorb node"
+  | Absorb_leaf p -> Printf.sprintf "absorb leaf %d" p
+  | Lookup p -> Printf.sprintf "lookup %d" p
+
+let prop_bounded_matches_oracle =
+  let n = 3 in
+  let arb =
+    QCheck.make
+      ~print:(fun actions -> String.concat "; " (List.map show_codec_action actions))
+      QCheck.Gen.(list_size (int_range 0 80) (gen_codec_action ~n))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300
+       ~name:"bounded codec agrees with the unbounded oracle on reachable states" arb
+       (fun actions ->
+         let spec = Misc_types.swap_object ~init:(Value.Int 0) in
+         let init = Codec.Root.decode (Codec.Root.initial spec.Spec.init) in
+         (* Bounded and oracle copies of the leaves, the node and the root. *)
+         let leaf = Array.make n Codec.Dset.empty and leaf_o = Array.make n Codec.Dset.empty in
+         let node = ref Codec.Dset.empty and node_o = ref Codec.Dset.empty in
+         let root = ref init and root_o = ref init in
+         (* Per pid: next seq to issue, and the seq in flight, if any. *)
+         let next = Array.make n 0 and pending = Array.make n None in
+         let absorb batch batch_o =
+           root := Codec.Root.absorb spec !root (Codec.Dset.decode batch);
+           root_o := Oracle.Root.absorb spec !root_o (Oracle.Dset.decode batch_o);
+           Value.equal !root.Codec.Root.state !root_o.Oracle.Root.state
+           && List.length !root.Codec.Root.responses <= n
+         in
+         List.for_all
+           (function
+             | Publish p ->
+               (match pending.(p) with
+                | Some _ -> ()
+                | None ->
+                  let d = desc p next.(p) (Value.Int ((100 * p) + next.(p))) in
+                  leaf.(p) <- Codec.Dset.add leaf.(p) d;
+                  leaf_o.(p) <- Oracle.Dset.add leaf_o.(p) d;
+                  pending.(p) <- Some next.(p);
+                  next.(p) <- next.(p) + 1);
+               true
+             | Merge p ->
+               node := Codec.Dset.union !node leaf.(p);
+               node_o := Oracle.Dset.union !node_o leaf_o.(p);
+               true
+             | Absorb_node -> absorb !node !node_o
+             | Absorb_leaf p -> absorb leaf.(p) leaf_o.(p)
+             | Lookup p -> (
+               match pending.(p) with
+               | None -> true
+               | Some seq ->
+                 let key = (p, seq) in
+                 let done_ = Oracle.Root.is_done !root_o ~key in
+                 if done_ then pending.(p) <- None;
+                 Bool.equal done_ (Codec.Root.is_done !root ~key)
+                 && Option.equal Value.equal
+                      (Codec.Root.find_response !root ~key)
+                      (Oracle.Root.find_response !root_o ~key)))
+           actions))
+
+let prop_one_op_per_pid_encodes_identically =
+  (* With at most one operation per pid the bounded and unbounded encodings
+     coincide byte for byte — what keeps every ops=1 exhaustive cell
+     pinned. *)
+  let arb =
+    QCheck.(
+      pair
+        (list_of_size (QCheck.Gen.int_range 0 8) (pair small_nat small_nat))
+        (list_of_size (QCheck.Gen.int_range 0 8) small_nat))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"bounded codec encodes one op per pid as the oracle does"
+       arb (fun (pid_seqs, split) ->
+         let spec = Misc_types.swap_object ~init:(Value.Int 0) in
+         let descs =
+           List.sort_uniq
+             (fun (a : Codec.Desc.t) b -> Int.compare a.Codec.Desc.pid b.Codec.Desc.pid)
+             (List.map
+                (fun (pid, seq) -> desc (pid mod 12) (seq mod 5) (Value.Int ((100 * pid) + seq)))
+                pid_seqs)
+         in
+         (* Two sets over an arbitrary split of the descriptors. *)
+         let left, right =
+           List.partition (fun (d : Codec.Desc.t) -> List.mem d.Codec.Desc.pid split) descs
+         in
+         let build add = List.fold_left add Codec.Dset.empty in
+         let a = build Codec.Dset.add left and b = build Codec.Dset.add right in
+         let a_o = build Oracle.Dset.add left and b_o = build Oracle.Dset.add right in
+         let init = Codec.Root.decode (Codec.Root.initial spec.Spec.init) in
+         Value.equal a a_o && Value.equal b b_o
+         && Value.equal (Codec.Dset.union a b) (Oracle.Dset.union a_o b_o)
+         &&
+         let bounded = Codec.Root.absorb spec (Codec.Root.absorb spec init left) descs in
+         let oracle = Oracle.Root.absorb spec (Oracle.Root.absorb spec init left) descs in
+         Value.equal (Codec.Root.encode bounded) (Codec.Root.encode oracle)))
 
 (* ---- generic construction correctness ---- *)
 
@@ -304,6 +493,33 @@ let test_multi_use_sequences () =
             true (increasing mine))
         (List.init n (fun i -> i)))
     constructions
+
+let test_bounded_state () =
+  (* The construction state is bounded by n: the largest register value is
+     the same after 8 and after 64 operations per process, and the cost
+     stays within the analytic worst case. *)
+  List.iter
+    (fun (c : Iface.t) ->
+      List.iter
+        (fun n ->
+          let run k =
+            Harness.run ~construction:c ~spec:(Counters.fetch_inc ~bits:62) ~n
+              ~ops:(fun _ -> List.init k (fun _ -> Value.Unit))
+              ~scheduler:(Scheduler.random ~seed:5) ()
+          in
+          let short = run 8 and long = run 64 in
+          let label = Printf.sprintf "%s n=%d" c.Iface.name n in
+          Alcotest.(check bool) (label ^ " completed") true long.Harness.completed;
+          Alcotest.(check int)
+            (label ^ " largest register independent of K")
+            short.Harness.largest_register long.Harness.largest_register;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s max cost %d <= %d" label long.Harness.max_cost
+               (c.Iface.worst_case ~n))
+            true
+            (long.Harness.max_cost <= c.Iface.worst_case ~n))
+        [ 2; 3 ])
+    [ Adt_tree.construction; Herlihy.construction ]
 
 let test_oblivious_flag () =
   List.iter
@@ -486,6 +702,8 @@ let suite =
     prop_desc_roundtrip;
     prop_dset_union_laws;
     prop_absorb_batch_order_irrelevant;
+    prop_bounded_matches_oracle;
+    prop_one_op_per_pid_encodes_identically;
     Alcotest.test_case "counter correctness" `Slow test_counter_correctness;
     Alcotest.test_case "cost never exceeds prediction" `Slow test_cost_never_exceeds_prediction;
     Alcotest.test_case "adt solo cost exact" `Quick test_adt_cost_exact_when_solo;
@@ -494,6 +712,7 @@ let suite =
     Alcotest.test_case "wide object through construction" `Quick
       test_wide_object_through_construction;
     Alcotest.test_case "multi-use sequences" `Slow test_multi_use_sequences;
+    Alcotest.test_case "bounded state: register size independent of K" `Quick test_bounded_state;
     Alcotest.test_case "oblivious flags" `Quick test_oblivious_flag;
     Alcotest.test_case "consensus cells decide" `Quick test_consensus_cell_is_consensus;
     Alcotest.test_case "snapshot through constructions" `Slow test_snapshot_through_constructions;
