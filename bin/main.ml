@@ -93,6 +93,17 @@ let n_arg =
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Toss-assignment seed.")
 
+(* Workload sizes below 1 are usage errors (exit 2): an empty workload
+   would be judged vacuously. *)
+let require_positive sizes =
+  List.iter
+    (fun (flag, v) ->
+      if v < 1 then begin
+        Format.eprintf "%s must be at least 1 (got %d)@." flag v;
+        exit 2
+      end)
+    sizes
+
 let name_arg =
   Arg.(
     required
@@ -390,6 +401,7 @@ let faults_cmd =
       & info [ "ops" ] ~docv:"K" ~doc:"Operations per process (construction targets only).")
   in
   let run () target n seed plan_name ops jobs =
+    require_positive [ ("-n", n); ("--ops", ops) ];
     let jobs = resolve_jobs jobs in
     let plans =
       if plan_name = "all" then Fault_plan.named ~n |> List.map snd
@@ -403,9 +415,9 @@ let faults_cmd =
     in
     (* Certifications fan across domains; the reports print sequentially in
        plan-matrix order afterwards, so the output is job-count-invariant. *)
-    let certify_construction t plan () =
-      let r = Faults.run ~target:t ~plan ~n ~seed ~ops_per_process:ops () in
-      ((fun () -> Format.printf "%a@." Faults.pp_report r), r.Faults.status)
+    let certify_construction construction plan () =
+      let c = Conformance.certify ~construction ~plan ~n ~ops ~seed in
+      ((fun () -> Format.printf "%a@." Conformance.pp_certification c), c.Conformance.status)
     in
     let certify_wakeup (entry : Corpus.entry) plan () =
       let r =
@@ -440,7 +452,9 @@ let faults_cmd =
          "Certify wait-freedom under adversity: run a construction (or wakeup algorithm) under \
           a fault plan — crashes, crash-recovery, spurious SC failures, delays, stalled \
           regions — and report a structured per-process verdict (exit 3 on a certification \
-          violation).")
+          violation).  A construction run is judged like a $(b,conform) schedule: every \
+          survivor completes within its analytic bound and the history, pending operations \
+          included, is linearizable.")
     Term.(const run $ logging $ target_arg $ n_arg $ seed_arg $ plan_arg $ ops_arg $ jobs_arg)
 
 (* ---- conform ---- *)
@@ -545,6 +559,7 @@ let conform_cmd =
   in
   let run () target n seed typ plan_name ops schedules max_states mutate exhaustive preempt
       fair len max_schedules report_file model_name jobs =
+    require_positive [ ("-n", n); ("--ops", ops); ("--schedules", schedules) ];
     let jobs = resolve_jobs jobs in
     let model =
       match Memory_model.of_string model_name with

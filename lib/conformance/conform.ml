@@ -18,28 +18,28 @@ type mutant_cell = {
 
 let mutant_killed c = match c.outcome with Killed _ | Not_applicable -> true | Survived _ -> false
 
+let fetch_inc = match Fuzz.find_type "fetch-inc" with Some ot -> ot | None -> assert false
+
 (* Kill one mutant on one construction: fuzz the mutated construction on
    fetch&increment (the one type every target implements) under the
    fault-free plan until the checker rejects a history.  A mutant that never
    fired cannot be killed and is reported not-applicable. *)
 let hunt_mutant ~construction ~mutant ?model ~n ~ops ~schedules ~seed ~max_states () =
   let mutated, fired = Mutate.wrap mutant construction in
-  let ot =
-    match Fuzz.find_type "fetch-inc" with Some ot -> ot | None -> assert false
-  in
   let rec go i =
     if i >= schedules then
       if fired () = 0 then Not_applicable else Survived { runs = schedules }
     else
       let seed_i = seed + i in
       let r =
-        Fuzz.run_once ~construction:mutated ~ot ~plan:Fault_plan.none ~n ~ops ~seed:seed_i
-          ?model ~max_states ~scheduler:(Lb_runtime.Scheduler.random ~seed:seed_i) ()
+        Fuzz.run_once ~construction:mutated ~ot:fetch_inc ~plan:Fault_plan.none ~n ~ops
+          ~seed:seed_i ?model ~max_states
+          ~scheduler:(Lb_runtime.Scheduler.random ~seed:seed_i) ()
       in
       match r.Fuzz.verdict with
       | Fuzz.Fail failure ->
         let cx =
-          Fuzz.shrink_failure ~construction:mutated ~ot ~plan:Fault_plan.none ~n ~ops
+          Fuzz.shrink_failure ~construction:mutated ~ot:fetch_inc ~plan:Fault_plan.none ~n ~ops
             ~seed:seed_i ?model ~max_states r
         in
         Killed { seed = seed_i; failure; minimized_len = List.length cx.Fuzz.minimized }
@@ -123,7 +123,129 @@ let pp_report ppf r =
   Format.fprintf ppf "verdict: %s@ " (if ok r then "CONFORMANT" else "NON-CONFORMANT");
   Format.fprintf ppf "@]"
 
+(* ---- fault certification ---- *)
+
+type certification = {
+  target : string;
+  plan : Fault_plan.t;
+  n : int;
+  ops : int;
+  seed : int;
+  bound : int;
+  status : Certify.status;
+  run : Fuzz.run;
+  result : Harness.result;
+}
+
+(* The fuzzer's default checker budget ([conform --max-states]). *)
+let certify_max_states = 200_000
+
+let certify ~(construction : Iface.t) ~plan ~n ~ops ~seed =
+  if n < 1 || ops < 1 then invalid_arg "Conform.certify: n and ops must be positive";
+  let result, schedule =
+    Fuzz.execute ~construction ~ot:fetch_inc ~plan ~n ~ops ~seed
+      ~scheduler:Lb_runtime.Scheduler.round_robin ()
+  in
+  let run =
+    Fuzz.assess ~construction ~ot:fetch_inc ~plan ~n ~ops ~max_states:certify_max_states
+      ~schedule result
+  in
+  let status =
+    match run.Fuzz.verdict with
+    | Fuzz.Pass -> Certify.Certified
+    | Fuzz.Degraded _ -> Certify.Degraded
+    | Fuzz.Fail _ -> Certify.Violated
+  in
+  {
+    target = construction.Iface.name;
+    plan;
+    n;
+    ops;
+    seed;
+    bound = construction.Iface.worst_case ~n;
+    status;
+    run;
+    result;
+  }
+
+(* One row per pid, from the harness result alone.  The bound column is
+   the one [Fuzz.assess] holds the pid to ("-" when exempt); t(p,R) sums
+   the pid's operation costs — completed, given up and still in flight —
+   restart-lost work included. *)
+let pp_process ppf (c, pid) =
+  let r = c.result in
+  let stats = List.filter (fun (s : Harness.op_stat) -> s.Harness.pid = pid) r.Harness.stats in
+  let failed =
+    List.filter (fun (f : Harness.op_failure) -> f.Harness.pid = pid) r.Harness.failures
+  in
+  let in_flight =
+    List.filter (fun (o : Harness.op_in_flight) -> o.Harness.pid = pid) r.Harness.in_flight
+  in
+  let sum costs = List.fold_left ( + ) 0 costs in
+  let costs = List.map (fun (s : Harness.op_stat) -> s.Harness.cost) stats in
+  let role =
+    if List.mem pid (Fault_plan.crash_stopped c.plan) then "crashed"
+    else if List.mem pid (Fault_plan.crash_recovering c.plan) then "recovered"
+    else "survivor"
+  in
+  let int_or_dash = function None -> "-" | Some v -> string_of_int v in
+  Format.fprintf ppf "p%-3d | %-9s | %5d/%d | %6d | %5s | %5s | %6d" pid role (List.length stats)
+    c.ops (List.length failed)
+    (int_or_dash (if stats = [] then None else Some (List.fold_left max 0 costs)))
+    (int_or_dash (Fuzz.cost_bound ~plan:c.plan ~bound:c.bound pid))
+    (sum costs
+    + sum (List.map (fun (f : Harness.op_failure) -> f.Harness.cost) failed)
+    + sum (List.map (fun (o : Harness.op_in_flight) -> o.Harness.cost) in_flight))
+
+let pp_certification ppf c =
+  let r = c.result in
+  Format.fprintf ppf "@[<v>%s under %s (n = %d, seed = %d): %a@ " c.target
+    (Fault_plan.name c.plan) c.n c.seed Certify.pp_status c.status;
+  Format.fprintf ppf "verdict: %a; restarts: %d; total ops: %d@ " Fuzz.pp_verdict
+    c.run.Fuzz.verdict r.Harness.restarts r.Harness.total_shared_ops;
+  Format.fprintf ppf "pid  | role      |  done  | failed | worst | bound | t(p,R)@ ";
+  Format.fprintf ppf "%s@ " (String.make 63 '-');
+  List.iter (fun pid -> Format.fprintf ppf "%a@ " pp_process (c, pid)) (List.init c.n Fun.id);
+  (* Give-ups render through the trace-event vocabulary, so a verdict table
+     and a recorded trace show the same lines. *)
+  List.iter
+    (fun (f : Harness.op_failure) ->
+      Format.fprintf ppf "%a@ " Lb_observe.Event.pp
+        (Lb_observe.Event.Op_failed
+           {
+             pid = f.Harness.pid;
+             seq = f.Harness.seq;
+             op = f.Harness.op;
+             reason = f.Harness.reason;
+             cost = f.Harness.cost;
+           }))
+    r.Harness.failures;
+  Format.fprintf ppf "@]"
+
 (* ---- JSON (for the service layer) ---- *)
+
+let json_of_certification c =
+  let reasons, notes =
+    match c.run.Fuzz.verdict with
+    | Fuzz.Pass -> ([], [])
+    | Fuzz.Degraded note -> ([], [ note ])
+    | Fuzz.Fail f -> ([ Format.asprintf "%a" Fuzz.pp_failure f ], [])
+  in
+  let strs xs = Lb_observe.Json.Arr (List.map (fun s -> Lb_observe.Json.Str s) xs) in
+  Lb_observe.Json.(
+    Obj
+      [
+        ("target", Str c.target);
+        ("plan", Str (Fault_plan.name c.plan));
+        ("n", Int c.n);
+        ("seed", Int c.seed);
+        ("status", Str (Certify.status_string c.status));
+        ("certified", Bool (c.status <> Certify.Violated));
+        ("reasons", strs reasons);
+        ("notes", strs notes);
+        ("restarts", Int c.result.Harness.restarts);
+        ("total_shared_ops", Int c.result.Harness.total_shared_ops);
+      ])
 
 let json_of_counterexample (cx : Fuzz.counterexample) =
   Lb_observe.Json.(

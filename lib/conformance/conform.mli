@@ -88,6 +88,42 @@ val ok : report -> bool
 val pp_mutant_cell : Format.formatter -> mutant_cell -> unit
 val pp_report : Format.formatter -> report -> unit
 
+(** {1 Fault certification}
+
+    [lowerbound faults] and the service's [certify] request judge a
+    construction under a fault plan with the fuzzer's judge: one
+    round-robin execution of the fetch-inc workload ({!Fuzz.execute}),
+    judged by {!Fuzz.assess} — completion, the role-aware cost bound,
+    give-up excuses, and Wing–Gong linearizability with pending operations
+    and crash-recovery ghosts. *)
+
+type certification = {
+  target : string;
+  plan : Fault_plan.t;
+  n : int;
+  ops : int;  (** operations per process. *)
+  seed : int;
+  bound : int;  (** the construction's analytic worst case at [n]. *)
+  status : Certify.status;
+      (** [Pass] is [Certified], [Degraded] is [Degraded], [Fail] is
+          [Violated]. *)
+  run : Fuzz.run;
+  result : Harness.result;
+}
+
+val certify :
+  construction:Iface.t -> plan:Fault_plan.t -> n:int -> ops:int -> seed:int -> certification
+(** Raises [Invalid_argument] unless [n >= 1] and [ops >= 1]: an empty
+    workload proves nothing. *)
+
+val pp_certification : Format.formatter -> certification -> unit
+(** The verdict line and a per-pid table (role, done/expected, give-ups,
+    worst cost, the pid's {!Fuzz.cost_bound} or "-" when exempt, t(p,R) as
+    the sum of its operation costs), then each give-up as an
+    {!Lb_observe.Event.Op_failed} line. *)
+
+val json_of_certification : certification -> Lb_observe.Json.t
+
 val json_of_cell : Fuzz.cell -> Lb_observe.Json.t
 val json_of_mutant_cell : mutant_cell -> Lb_observe.Json.t
 val json_of_report : report -> Lb_observe.Json.t

@@ -190,10 +190,19 @@ let execute ~(construction : Iface.t) ~ot ~plan ~n ~ops ~seed
   in
   (result, List.rev !log)
 
+let cost_bound ~plan ~bound =
+  let spurious = Fault_plan.has_spurious plan in
+  let stopped = Fault_plan.crash_stopped plan in
+  let recovering = Fault_plan.crash_recovering plan in
+  fun pid ->
+    if spurious || List.mem pid stopped then None
+    else if List.mem pid recovering then Some (2 * bound)
+    else Some bound
+
 (* Judge one executed run: completion accounting, the analytic cost bound,
-   give-up excuses, then linearizability.  Shared verbatim by the fuzzer
-   and the exhaustive checker, so a schedule is judged identically however
-   it was produced. *)
+   give-up excuses, then linearizability.  Shared verbatim by the fuzzer,
+   the exhaustive checker and fault certification, so a run is judged
+   identically however it was produced. *)
 let assess ~(construction : Iface.t) ~ot ~plan ~n ~ops ~max_states ~schedule result =
   let spec = ot.spec_of ~n in
   let bound = construction.Iface.worst_case ~n in
@@ -226,17 +235,22 @@ let assess ~(construction : Iface.t) ~ot ~plan ~n ~ops ~max_states ~schedule res
   if starved <> [] then finish (Fail (Starved { pids = starved })) 0
   else
     (* Conformance is linearizability *plus* the analytic worst-case cost:
-       the paper's upper-bound claim is about shared-access time, so a
-       fault-free run where an operation overshoots the construction's bound
-       is a conformance failure (it kills helping-removal mutants that are
-       linearizability-preserving).  Faulty plans relax it, as in Certify. *)
+       the paper's upper-bound claim is about shared-access time, so an
+       operation that overshoots the construction's bound is a conformance
+       failure (it kills helping-removal mutants that are
+       linearizability-preserving).  The bound is role-aware
+       ([cost_bound]). *)
+    let bound_of = cost_bound ~plan ~bound in
     let over_bound =
-      if Fault_plan.has_spurious plan || Fault_plan.has_crash plan then None
-      else
-        List.find_opt (fun (s : Harness.op_stat) -> s.Harness.cost > bound) result.Harness.stats
+      List.find_map
+        (fun (s : Harness.op_stat) ->
+          match bound_of s.Harness.pid with
+          | Some bound when s.Harness.cost > bound -> Some (s, bound)
+          | Some _ | None -> None)
+        result.Harness.stats
     in
     match over_bound with
-    | Some s ->
+    | Some (s, bound) ->
       finish
         (Fail (Bound_exceeded { pid = s.Harness.pid; seq = s.Harness.seq; cost = s.Harness.cost; bound }))
         0

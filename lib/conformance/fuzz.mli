@@ -8,10 +8,10 @@
     deterministically to the same failure class.
 
     Give-ups are excused (degraded, not failing) exactly when the plan
-    injects spurious SC failures, mirroring {!Lb_faults.Certify}; crash-
-    stopped pids are exempt from the completion requirement; crash-recovery
-    restarts contribute ghost pending operations to the checked history (see
-    {!History}). *)
+    injects spurious SC failures; crash-stopped pids are exempt from the
+    completion requirement and the cost bound; crash-recovering pids are
+    held to twice the bound; crash-recovery restarts contribute ghost
+    pending operations to the checked history (see {!History}). *)
 
 open Lb_memory
 open Lb_runtime
@@ -43,11 +43,13 @@ type failure =
   | Unexcused_give_up of { pid : int; seq : int; reason : string }
   | Starved of { pids : int list }
   | Bound_exceeded of { pid : int; seq : int; cost : int; bound : int }
-      (** A fault-free run where an operation's shared-access cost exceeds
-          the construction's analytic worst case — the paper's upper-bound
-          claim is about time, so overshooting it is a conformance failure
-          (and the kill condition for helping-removal mutants that preserve
-          linearizability). *)
+      (** An operation's shared-access cost exceeds the construction's
+          analytic worst case — the paper's upper-bound claim is about time,
+          so overshooting it is a conformance failure (and the kill
+          condition for helping-removal mutants that preserve
+          linearizability).  [bound] is the pid's own bound: twice the worst
+          case for a crash-recovering pid.  Not checked for crash-stopped
+          pids or under injected spurious SC failures. *)
   | Check_budget of { states : int }
 
 type verdict = Pass | Degraded of string | Fail of failure
@@ -82,6 +84,14 @@ val execute :
     fault hooks — the exhaustive checker taps [filter] to read each
     process's pending shared operation for its dependency footprints. *)
 
+val cost_bound : plan:Fault_plan.t -> bound:int -> int -> int option
+(** [cost_bound ~plan ~bound pid] is the shared-access bound {!assess}
+    holds [pid]'s operations to, given the construction's analytic worst
+    case [bound]: [None] (exempt) for a crash-stopped pid and for every pid
+    under injected spurious SC failures (the retry loops are only lock-free
+    under them); twice [bound] for a crash-recovering pid, whose re-invoked
+    operation also pays for its lost attempt; [bound] otherwise. *)
+
 val assess :
   construction:Iface.t ->
   ot:object_type ->
@@ -92,9 +102,10 @@ val assess :
   schedule:int list ->
   Harness.result ->
   run
-(** Judge an executed run: completion accounting, the analytic cost bound,
-    give-up excuses, then {!Linearize}.  [run_once] is [execute] followed
-    by [assess]; the exhaustive checker shares this judge so a schedule is
+(** Judge an executed run: completion accounting, the role-aware analytic
+    cost bound, give-up excuses, then {!Linearize}.  [run_once] is
+    [execute] followed by [assess]; the exhaustive checker and fault
+    certification ({!Conform.certify}) share this judge, so a run is
     assessed identically however it was produced. *)
 
 val run_once :

@@ -1,11 +1,10 @@
 (** Typed concurrent histories with pending operations.
 
-    The simple checker in {!Lb_objects.History} only handles {e complete}
-    histories (every operation has a response).  Conformance checking under
-    fault plans needs the general form: an operation that was invoked but
-    never responded (a give-up, a crash, or fuel exhaustion) is {e pending}
-    — it may or may not have taken effect, and a linearizability checker
-    must consider both.
+    A {e complete} history has a response for every operation.  Conformance
+    checking under fault plans needs the general form: an operation that
+    was invoked but never responded (a give-up, a crash, or fuel
+    exhaustion) is {e pending} — it may or may not have taken effect, and a
+    linearizability checker must consider both.
 
     Histories are built either from a {!Lb_universal.Harness.result} or by
     tapping the op-lifecycle events ([Op_invoked] / [Op_completed]) a

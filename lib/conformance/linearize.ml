@@ -170,21 +170,6 @@ let is_linearizable ?max_states spec history =
   | Linearizable _ -> true
   | Not_linearizable _ | Budget_exhausted _ -> false
 
-let of_entries (entries : Lb_objects.History.entry list) : History.t =
-  List.map
-    (fun (e : Lb_objects.History.entry) ->
-      {
-        History.pid = e.Lb_objects.History.pid;
-        seq = 0;
-        op = e.Lb_objects.History.op;
-        invoked = e.Lb_objects.History.invoked;
-        outcome =
-          History.Completed
-            { response = e.Lb_objects.History.response; responded = e.Lb_objects.History.responded };
-        ghost = false;
-      })
-    entries
-
 let pp_step ppf s =
   Format.fprintf ppf "p%d#%d %a -> %a%s" s.pid s.seq Value.pp s.op Value.pp s.response
     (if s.was_pending then " (pending)" else "")

@@ -48,9 +48,5 @@ val check : ?max_states:int -> Lb_objects.Spec.t -> History.t -> verdict
 val is_linearizable : ?max_states:int -> Lb_objects.Spec.t -> History.t -> bool
 (** [Budget_exhausted] counts as [false]. *)
 
-val of_entries : Lb_objects.History.entry list -> History.t
-(** Lift a complete history (the {!Lb_objects.History} form) into the
-    general form, for differential testing of the two checkers. *)
-
 val pp_step : Format.formatter -> step -> unit
 val pp_verdict : Format.formatter -> verdict -> unit

@@ -16,7 +16,7 @@
     - {!Round}, {!All_run}, {!S_run}, {!Upsets}, {!Indistinguishability},
       {!Lower_bound}: the Section 5 adversary and the Theorem 6.1 analysis;
     - {!Spec}, {!Counters}, {!Bitwise}, {!Containers}, {!Misc_types},
-      {!Atomic}, {!History}: object types and linearizability;
+      {!Atomic}: object types and their sequential specifications;
     - {!Iface}, {!Adt_tree}, {!Herlihy}, {!Direct}, {!Harness},
       {!Complexity}: universal constructions and their measurement;
     - {!Pure_memory}, {!Explore}, {!Sched_tree}: the model-checking layer —
@@ -28,13 +28,16 @@
     - {!Pool}: the domain pool — deterministic order-preserving parallel
       [map] with per-task metric/trace capture merged at join;
     - {!Fault_plan}, {!Fault_engine}, {!Retry}, {!Fault_targets}, {!Faults}:
-      fault injection (crashes, recovery, weak LL/SC, delays) and the
-      wait-freedom-under-adversity certification driver;
+      fault injection (crashes, recovery, weak LL/SC, delays) and wakeup
+      certification under adversity;
     - {!Conf_history}, {!Linearize}, {!Mutate}, {!Schedule_fuzz}, {!Shrink},
       {!Conformance}, {!Exhaustive}: the conformance subsystem — histories
-      with pending operations, the Wing–Gong checker, mutation testing,
-      differential schedule fuzzing, counterexample shrinking, and
-      bounded-exhaustive certification over {!Sched_tree}'s DPOR;
+      with pending operations, the one Wing–Gong checker, mutation testing,
+      differential schedule fuzzing, counterexample shrinking,
+      bounded-exhaustive certification over {!Sched_tree}'s DPOR, and
+      construction certification under fault plans
+      ({!Conformance.certify}) — every run judged by
+      {!Schedule_fuzz.assess};
     - {!Problem}, {!Reductions}, {!Direct_algorithms}, {!Randomized},
       {!Cheaters}, {!Corpus}: the wakeup problem and its algorithm corpus;
     - {!Hw_memory}, {!Hw_recorder}, {!Hw_run}, {!Hw_harness}, {!Hw_bench}:
@@ -88,7 +91,6 @@ module Bitwise = Lb_objects.Bitwise
 module Containers = Lb_objects.Containers
 module Misc_types = Lb_objects.Misc_types
 module Atomic = Lb_objects.Atomic
-module History = Lb_objects.History
 
 (* Universal constructions *)
 module Iface = Lb_universal.Iface

@@ -1,8 +1,8 @@
 (** The metrics registry: named counters, gauges and histograms that
-    experiments, the harness and the certification driver publish into.
+    experiments, the harness and the conformance judge publish into.
 
     A registry is a flat name → metric map.  Names are dotted strings
-    ("harness.op_cost", "certify.restarts"); a name's metric kind is fixed
+    ("harness.op_cost", "conformance.runs"); a name's metric kind is fixed
     by its first use and a kind mismatch raises [Invalid_argument] — a
     counter silently read as a gauge is a reporting bug, not a recoverable
     condition.

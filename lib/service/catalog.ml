@@ -3,24 +3,6 @@ open Lb_observe
 let strs xs = Json.Arr (List.map (fun s -> Json.Str s) xs)
 let ints xs = Json.Arr (List.map (fun i -> Json.Int i) xs)
 
-let construction_report_json (r : Lb_faults.Certify.report) =
-  Json.Obj
-    [
-      ("target", Json.Str r.Lb_faults.Certify.target);
-      ("plan", Json.Str (Lb_faults.Fault_plan.name r.Lb_faults.Certify.plan));
-      ("n", Json.Int r.Lb_faults.Certify.n);
-      ("seed", Json.Int r.Lb_faults.Certify.seed);
-      ("status", Json.Str (Lb_faults.Certify.status_string r.Lb_faults.Certify.status));
-      ("certified", Json.Bool (Lb_faults.Certify.certified r));
-      ("reasons", strs r.Lb_faults.Certify.reasons);
-      ("notes", strs r.Lb_faults.Certify.notes);
-      ("restarts", Json.Int r.Lb_faults.Certify.restarts);
-      ("spurious_injected", Json.Int r.Lb_faults.Certify.spurious_injected);
-      ("total_shared_ops", Json.Int r.Lb_faults.Certify.total_shared_ops);
-      ("consistent", Json.Bool r.Lb_faults.Certify.consistent);
-      ("consistency", Json.Str r.Lb_faults.Certify.consistency);
-    ]
-
 let wakeup_report_json (r : Lb_faults.Certify.wakeup_report) =
   Json.Obj
     [
@@ -62,10 +44,10 @@ let compute ~jobs (request : Request.t) =
            (String.concat ", " Lb_faults.Fault_plan.plan_names))
     | Some plan -> (
       match Lb_faults.Targets.find target with
-      | Some iface ->
+      | Some construction ->
         Ok
-          (construction_report_json
-             (Lb_faults.Certify.run ~target:iface ~plan ~n ~seed ~ops_per_process:ops ()))
+          (Lb_conformance.Conform.json_of_certification
+             (Lb_conformance.Conform.certify ~construction ~plan ~n ~ops ~seed))
       | None -> (
         match find_corpus_entry target with
         | Some entry ->

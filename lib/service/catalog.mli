@@ -1,8 +1,10 @@
 (** The computations the service can serve: the binding from a
-    {!Request} to the experiment suite and the certification driver.
+    {!Request} to the experiment suite, the conformance judge and
+    wakeup certification.
 
     This is the one module of [lib/service] that depends on the heavy
-    layers ({!Lb_experiments}, {!Lb_faults}, {!Lb_wakeup}); everything
+    layers ({!Lb_experiments}, {!Lb_conformance}, {!Lb_faults},
+    {!Lb_wakeup}); everything
     below it — request, cache, executor, server, client — is generic in
     the compute function, so tests and other drivers can plug in toy
     computations.
@@ -10,8 +12,9 @@
     Payload schemas (docs/OBSERVABILITY.md): an experiment request yields
     the table exactly as {!Lb_experiments.Table.to_json} emits it; a
     certification request yields a verdict object ([target], [plan], [n],
-    [seed], [status], [certified], [reasons], [notes], and the
-    construction-run accounting when applicable).  Both are deterministic
+    [seed], [status], [certified], [reasons], [notes], and for a
+    construction [restarts] and [total_shared_ops] from
+    {!Lb_conformance.Conform.json_of_certification}).  Both are deterministic
     functions of the request's content hash — the precondition for
     caching them. *)
 

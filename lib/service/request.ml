@@ -95,6 +95,12 @@ let of_json json =
       | None -> default
     in
     let jobs = int ~default:1 "jobs" in
+    (* An empty workload would be judged vacuously: sizes start at 1. *)
+    let positive kind fields k =
+      match List.find_opt (fun (_, v) -> v < 1) fields with
+      | Some (name, v) -> Error (Printf.sprintf "%s request has %S = %d (must be >= 1)" kind name v)
+      | None -> k ()
+    in
     match str "kind" with
     | Some "experiment" -> (
       match str "id" with
@@ -109,40 +115,33 @@ let of_json json =
     | Some "certify" -> (
       match (str "target", str "plan") with
       | Some target, Some plan ->
-        Ok
-          {
-            spec =
-              Certify
-                {
-                  target;
-                  plan;
-                  n = int ~default:8 "n";
-                  ops = int ~default:1 "ops";
-                  seed = int ~default:1 "seed";
-                };
-            jobs;
-          }
+        let n = int ~default:8 "n" and ops = int ~default:1 "ops" in
+        positive "certify" [ ("n", n); ("ops", ops) ] (fun () ->
+            Ok { spec = Certify { target; plan; n; ops; seed = int ~default:1 "seed" }; jobs })
       | None, _ -> Error "certify request lacks a \"target\" field"
       | _, None -> Error "certify request lacks a \"plan\" field")
     | Some "conform" -> (
       match str "target" with
       | Some target ->
-        Ok
-          {
-            spec =
-              Conform
-                {
-                  target;
-                  otype =
-                    (match str "otype" with Some s -> s | None -> "fetch-inc");
-                  plan = (match str "plan" with Some s -> s | None -> "none");
-                  n = int ~default:4 "n";
-                  ops = int ~default:4 "ops";
-                  schedules = int ~default:200 "schedules";
-                  seed = int ~default:1 "seed";
-                };
-            jobs;
-          }
+        let n = int ~default:4 "n"
+        and ops = int ~default:4 "ops"
+        and schedules = int ~default:200 "schedules" in
+        positive "conform" [ ("n", n); ("ops", ops); ("schedules", schedules) ] (fun () ->
+            Ok
+              {
+                spec =
+                  Conform
+                    {
+                      target;
+                      otype = (match str "otype" with Some s -> s | None -> "fetch-inc");
+                      plan = (match str "plan" with Some s -> s | None -> "none");
+                      n;
+                      ops;
+                      schedules;
+                      seed = int ~default:1 "seed";
+                    };
+                jobs;
+              })
       | None -> Error "conform request lacks a \"target\" field")
     | Some "echo" -> (
       match str "tag" with

@@ -84,7 +84,9 @@ val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
 (** Tolerant parse: fields in any order, optional fields defaulted, unknown
     fields ignored (forward compatibility).  [Error] on a missing [kind] /
-    [id] / [target] / [plan], or on a non-object. *)
+    [id] / [target] / [plan], on a non-object, on a negative echo [size] or
+    [work], and on a certify or conform [n], [ops] or [schedules] below 1
+    (an empty workload would pass vacuously). *)
 
 val key : t -> string
 (** The content hash (an MD5 hex digest of the canonical serialisation

@@ -1,8 +1,8 @@
 (** Complexity sweeps: measured worst-case shared-access cost vs. predictions.
 
-    Used by experiments E7 (Θ(log n) combining tree vs. Θ(n) baseline), E9
-    (constant-time direct CAS) and E10 (the sandwich around the wakeup
-    bound). *)
+    Used by experiment E7 (Θ(log n) combining tree vs. Θ(n) baseline) and
+    the [sweep] verb.  Linearizability of these runs is the conformance
+    layer's job ([Lb_conformance.Fuzz.assess]), not a sweep column. *)
 
 open Lb_memory
 open Lb_runtime
@@ -14,7 +14,6 @@ type row = {
   predicted : int;  (** the construction's own [worst_case ~n]. *)
   lower_bound : int;  (** [⌈log₄ n⌉] — the paper's floor for oblivious constructions. *)
   largest_register : int;
-  linearizable : bool;
 }
 
 val sweep :
@@ -22,13 +21,11 @@ val sweep :
   spec_of:(int -> Lb_objects.Spec.t) ->
   ops_of:(n:int -> int -> Value.t list) ->
   ?scheduler:Scheduler.choice ->
-  ?check_linearizability:bool ->
   ns:int list ->
   unit ->
   row list
 (** One row per [n]: run the workload ([ops_of ~n pid] per process) through
-    the construction and measure.  Linearizability checking is exponential in
-    history size, so it is skipped for [n > 8] unless forced. *)
+    the construction and measure. *)
 
 val pp_row : Format.formatter -> row -> unit
 val pp_table : header:string -> Format.formatter -> row list -> unit

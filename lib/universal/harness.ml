@@ -48,7 +48,6 @@ type result = {
   total_shared_ops : int;
   completed : bool;
   largest_register : int;
-  history : Lb_objects.History.entry list;
 }
 
 (* Per-process driver state: the current operation runs in a fresh
@@ -267,13 +266,6 @@ let run_handle ~memory ~handle ~n ~ops ?(scheduler = Scheduler.round_robin)
     if stats = [] then 0.0
     else float_of_int (List.fold_left ( + ) 0 costs) /. float_of_int (List.length stats)
   in
-  let history =
-    List.map
-      (fun (s : op_stat) ->
-        Lb_objects.History.entry ~pid:s.pid ~op:s.op ~response:s.response ~invoked:s.invoked
-          ~responded:s.responded)
-      stats
-  in
   {
     stats;
     failures = List.rev !failures;
@@ -285,7 +277,6 @@ let run_handle ~memory ~handle ~n ~ops ?(scheduler = Scheduler.round_robin)
     total_shared_ops = Memory.total_ops memory;
     completed;
     largest_register = Memory.largest_value_size memory;
-    history;
   }
 
 let run ~construction ~spec ~n ~ops ?scheduler ?fuel ?hooks () =
@@ -294,6 +285,3 @@ let run ~construction ~spec ~n ~ops ?scheduler ?fuel ?hooks () =
   let memory = Memory.create () in
   Layout.install layout memory;
   run_handle ~memory ~handle ~n ~ops ?scheduler ?fuel ?hooks ()
-
-let check_linearizable ~spec result =
-  Lb_objects.History.is_linearizable spec result.history

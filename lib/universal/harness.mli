@@ -8,8 +8,9 @@
     response, its invocation/response times on a global clock, and its exact
     shared-memory operation count — the paper's shared-access cost.
 
-    The recorded history feeds {!Lb_objects.History.is_linearizable}; the
-    cost maxima feed the complexity experiments. *)
+    The recorded operations feed the conformance layer's Wing–Gong checker
+    ([Lb_conformance.History.of_result], then [Lb_conformance.Linearize]);
+    the cost maxima feed the complexity experiments. *)
 
 open Lb_memory
 open Lb_runtime
@@ -93,7 +94,6 @@ type result = {
   total_shared_ops : int;
   completed : bool;  (** all scheduled operations ran to completion. *)
   largest_register : int;
-  history : Lb_objects.History.entry list;
 }
 
 val run_handle :
@@ -125,5 +125,3 @@ val run :
   unit ->
   result
 (** Instantiate the construction on a fresh memory and drive it. *)
-
-val check_linearizable : spec:Lb_objects.Spec.t -> result -> bool

@@ -170,7 +170,7 @@ let test_linearize_budget () =
   | v -> Alcotest.failf "expected budget exhaustion, got %a" Linearize.pp_verdict v
 
 (* Differential: on complete histories the general checker and the simple
-   one in Lb_objects.History agree, across a seeded corpus of random
+   oracle in test/history.ml agree, across a seeded corpus of random
    overlapping fetch&inc histories with perturbed responses. *)
 let test_linearize_differential =
   let gen =
@@ -205,7 +205,7 @@ let test_linearize_differential =
              raw
          in
          let simple = History.is_linearizable spec2 entries in
-         let general = Linearize.is_linearizable spec2 (Linearize.of_entries entries) in
+         let general = Linearize.is_linearizable spec2 (History.to_general entries) in
          simple = general))
 
 (* ---- the mutation rewriter ---- *)

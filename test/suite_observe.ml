@@ -169,23 +169,29 @@ let test_event_kinds () =
 
 let spurious_plan = Fault_plan.spurious_sc_rate 0.2
 
-let certify_run () =
-  Faults.run ~target:Adt_tree.construction ~plan:spurious_plan ~n:6 ~seed:3
-    ~ops_per_process:2 ()
+let certify_run ?(seed = 3) () =
+  Conformance.certify ~construction:Adt_tree.construction ~plan:spurious_plan ~n:6 ~ops:2 ~seed
 
-let report_fingerprint (r : Faults.report) =
-  ( Faults.status_string r.Faults.status,
-    r.Faults.total_shared_ops,
-    r.Faults.spurious_injected,
-    r.Faults.restarts,
+(* The verdict and costs come from the certification; the injection count
+   from the fault engine of the same workload driven by hand. *)
+let run_fingerprint () =
+  let c = certify_run () in
+  let r = c.Conformance.result in
+  let engine =
+    Suite_faults.injections ~ops:2 ~seed:3 Adt_tree.construction spurious_plan 6
+  in
+  ( Faults.status_string c.Conformance.status,
+    r.Harness.total_shared_ops,
+    Fault_engine.spurious_injected engine,
+    r.Harness.restarts,
     List.map
       (fun (s : Harness.op_stat) -> (s.Harness.pid, s.Harness.seq, s.Harness.cost, Value.to_string s.Harness.response))
-      r.Faults.raw.Harness.stats )
+      r.Harness.stats )
 
 let test_tracing_does_not_perturb () =
-  let untraced = report_fingerprint (certify_run ()) in
+  let untraced = run_fingerprint () in
   let tracer = Tracer.ring () in
-  let traced = Tracer.with_tracer tracer (fun () -> report_fingerprint (certify_run ())) in
+  let traced = Tracer.with_tracer tracer run_fingerprint in
   Alcotest.(check bool) "identical verdicts and costs" true (untraced = traced);
   Alcotest.(check bool) "trace is non-empty" true (Tracer.emitted tracer > 0)
 
@@ -209,10 +215,8 @@ let test_ring_capacity () =
 
 let trace_of_seed seed =
   let tracer = Tracer.ring () in
-  let (_ : Faults.report) =
-    Tracer.with_tracer tracer (fun () ->
-        Faults.run ~target:Adt_tree.construction ~plan:spurious_plan ~n:6 ~seed
-          ~ops_per_process:2 ())
+  let (_ : Conformance.certification) =
+    Tracer.with_tracer tracer (fun () -> certify_run ~seed ())
   in
   Tracer.events tracer
 

@@ -119,6 +119,32 @@ let t_of_json_defaults () =
       "omitted fields take their defaults" true
       (Request.of_json json = Ok (Request.certify ~target:"direct" ~plan:"chaos" ()))
 
+let t_of_json_rejects_empty_workloads () =
+  (* An empty workload would be judged vacuously (a CERTIFIED or CONFORMANT
+     verdict over zero operations), so sizes below 1 are typed errors. *)
+  List.iter
+    (fun line ->
+      match Json.parse line with
+      | Error msg -> Alcotest.fail msg
+      | Ok json -> (
+        match Request.of_json json with
+        | Error _ -> ()
+        | Ok r -> Alcotest.failf "%s: accepted as %s" line (Request.describe r)))
+    [
+      {|{"kind":"certify","target":"herlihy","plan":"none","n":0}|};
+      {|{"kind":"certify","target":"herlihy","plan":"none","ops":0}|};
+      {|{"kind":"certify","target":"naive-collect","plan":"crash-stop","n":-3}|};
+      {|{"kind":"conform","target":"herlihy","n":0}|};
+      {|{"kind":"conform","target":"herlihy","ops":0}|};
+      {|{"kind":"conform","target":"herlihy","schedules":0}|};
+    ];
+  match Json.parse {|{"kind":"conform","target":"herlihy","n":1,"ops":1,"schedules":1}|} with
+  | Error msg -> Alcotest.fail msg
+  | Ok json ->
+    Alcotest.(check bool) "sizes of 1 are accepted" true
+      (Request.of_json json
+      = Ok (Request.conform ~n:1 ~ops:1 ~schedules:1 ~target:"herlihy" ()))
+
 (* ---- cache ---- *)
 
 let payload_a = Json.Obj [ ("v", Json.Int 1) ]
@@ -1208,6 +1234,8 @@ let suite =
     Alcotest.test_case "request: distinct requests, distinct keys" `Quick
       t_distinct_requests_distinct_keys;
     Alcotest.test_case "request: of_json fills defaults" `Quick t_of_json_defaults;
+    Alcotest.test_case "request: of_json rejects empty workloads" `Quick
+      t_of_json_rejects_empty_workloads;
     t_roundtrip;
     t_key_ignores_jobs;
     t_key_ignores_field_order;
