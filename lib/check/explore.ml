@@ -39,13 +39,14 @@ let rec remove_runnable pid = function
    record the flushes — run-end quiescence under a relaxed model, and the
    eager-flush discipline after each step.  [events] is newest-first. *)
 let drain_all memory events =
-  List.fold_left
-    (fun (m, evs) (pid, entries) ->
-      let evs =
-        List.fold_left (fun evs (r, v) -> Flushed (pid, r, v) :: evs) evs entries
-      in
-      (Pure_memory.drain m ~pid, evs))
-    (memory, events) (Pure_memory.buffers memory)
+  let drained, memory = Pure_memory.drain_all memory in
+  let events =
+    List.fold_left
+      (fun evs (pid, entries) ->
+        List.fold_left (fun evs (r, v) -> Flushed (pid, r, v) :: evs) evs entries)
+      events drained
+  in
+  (memory, events)
 
 let iter ~n ~program_of ?(inits = []) ?(coin_range = [ 0 ]) ?(model = Memory_model.SC)
     ?(eager_flush = false) ?(max_runs = 200_000) ~f () =
@@ -169,32 +170,23 @@ let wakeup_ok ~n run =
 
 type stats = { runs : int; sleep_pruned : int; dedup_pruned : int }
 
-(* The registers an invocation can read or write.  Two invocations with
-   disjoint footprints commute exactly in [Pure_memory]: same responses,
-   same final memory, either order.  This is conservative — e.g. two [Ll]s
-   of the same register by different processes also commute — but register
-   disjointness is the cheap sound check. *)
-let footprint = function
-  | Op.Ll r | Op.Sc (r, _) | Op.Validate r | Op.Swap (r, _) | Op.Write (r, _) -> [ r ]
-  | Op.Move (src, dst) -> [ src; dst ]
-  | Op.Fence -> []
-
 (* The full dependency footprint of a step under the memory's model: fencing
    operations also drain the issuing process's buffer, so their effect
    extends to every register with a pending buffered write.  Buffers are
-   empty under SC, making this [footprint inv] there. *)
+   empty under SC, making this [Sched_tree.footprint inv] there. *)
 let step_fp_regs memory ~pid inv =
-  let base = footprint inv in
-  match inv with
-  | Op.Ll _ | Op.Sc _ | Op.Swap _ | Op.Move _ | Op.Fence -> (
+  let base = Sched_tree.footprint inv in
+  if not (Store_buffer.fences inv) then base
+  else
     match Pure_memory.buffered_regs memory ~pid with
     | [] -> base
-    | buffered -> List.sort_uniq Int.compare (base @ buffered))
-  | Op.Validate _ | Op.Write _ -> base
+    | buffered -> List.sort_uniq Int.compare (base @ buffered)
 
+(* Two invocations with disjoint register footprints commute exactly in
+   [Pure_memory]: same responses, same final memory, either order. *)
 let conflicts a b =
-  let fa = footprint a in
-  List.exists (fun r -> List.mem r fa) (footprint b)
+  let fa = Sched_tree.footprint a in
+  List.exists (fun r -> List.mem r fa) (Sched_tree.footprint b)
 
 (* The run-prefix information [wakeup_ok]-style predicates depend on:
    which processes have stepped, frozen at the first [Returned (_, 1)].
@@ -346,10 +338,10 @@ let iter_dpor ~n ~program_of ?(inits = []) ?(coin_range = [ 0 ])
   let module Pmap = Map.Make (Int) in
   let memory0 = Pure_memory.create ~inits ~model () in
   (* Flush actions are scheduler-visible decisions, so they need ids in the
-     tree's decision alphabet.  flush(p, r) ↦ n*(1+r)+p: injective, disjoint
-     from pids 0..n-1, and stable across runs (the same tree node always
-     re-derives the same memory, hence the same flushable set). *)
-  let flush_id (pid, reg) = (n * (1 + reg)) + pid in
+     tree's decision alphabet: {!Store_buffer.flush_id}, stable across runs
+     (the same tree node always re-derives the same memory, hence the same
+     flushable set). *)
+  let flush_id (pid, reg) = Store_buffer.flush_id ~n ~pid ~reg in
   (* One run under the oracle: the same forced initial expansion and step
      semantics as [iter_reduced], but scheduling decisions, coin-branch
      selection, and state dedup all delegate to the scheduler tree. *)
@@ -402,66 +394,64 @@ let iter_dpor ~n ~program_of ?(inits = []) ?(coin_range = [ 0 ])
       !runnable @ List.map flush_id (Pure_memory.flushable !memory)
     in
     let enabled = ref (enabled_now ()) in
+    (* A flush decision: apply the oldest buffered write.  Its footprint is
+       the flushed register — this is where a buffered write becomes
+       dependent with other processes' accesses. *)
+    let flush_step ~pid ~reg =
+      let memory' = Pure_memory.flush !memory ~pid ~reg in
+      let v = Pure_memory.peek memory' reg in
+      ignore
+        (Sched_tree.commit sched ~fp:{ Sched_tree.regs = [ reg ]; blocking = false } ~branches:1);
+      memory := memory';
+      events := Flushed (pid, reg, v) :: !events
+    in
+    let process_step pid =
+      match Pmap.find pid !procs with
+      | Done _ -> assert false
+      | Blocked (inv, k) ->
+        (* The footprint of a fencing step includes the registers its
+           buffer drain writes, so compute it before applying.  A fencing
+           step also absorbs the enabled flush decisions of its own
+           buffer — capture them now and report them to the tree after
+           the commit, or "flush early, interleave, then fence" schedules
+           would be unexplorable (an absorbed flush never appears in any
+           trace, and DPOR only backtracks around observed steps). *)
+        let fp_regs = step_fp_regs !memory ~pid inv in
+        let absorbed =
+          if Store_buffer.fences inv then
+            List.filter (fun (p, _) -> p = pid) (Pure_memory.flushable !memory)
+          else []
+        in
+        let response, memory' = Pure_memory.apply !memory ~pid inv in
+        let stepped = Stepped (pid, inv, response) in
+        let branches = expand coin_range pid (k response) in
+        let blocking = List.exists (fun (_, evs, _) -> evs <> []) branches in
+        let b =
+          Sched_tree.commit sched
+            ~fp:{ Sched_tree.regs = fp_regs; blocking }
+            ~branches:(List.length branches)
+        in
+        List.iter (fun pr -> Sched_tree.also sched ~pid:(flush_id pr)) absorbed;
+        let proc', expand_events, outcomes = List.nth branches b in
+        summary := update_summary !summary (stepped :: List.rev expand_events);
+        hists := Pmap.add pid ((inv, response, outcomes) :: Pmap.find pid !hists) !hists;
+        memory := memory';
+        procs := Pmap.add pid proc' !procs;
+        (match proc' with
+        | Done _ -> runnable := remove_runnable pid !runnable
+        | Blocked _ -> ());
+        events := expand_events @ (stepped :: !events)
+    in
     while (not !aborted) && !enabled <> [] do
       match Sched_tree.choose sched ~step:!step ~enabled:!enabled with
       | None -> aborted := true
-      | Some id when id >= n ->
-        (* A flush decision: apply the oldest buffered write.  Its footprint
-           is the flushed register — this is where a buffered write becomes
-           dependent with other processes' accesses. *)
-        let pid = id mod n and reg = (id / n) - 1 in
-        let memory' = Pure_memory.flush !memory ~pid ~reg in
-        let v = Pure_memory.peek memory' reg in
-        ignore
-          (Sched_tree.commit sched
-             ~fp:{ Sched_tree.regs = [ reg ]; blocking = false }
-             ~branches:1);
-        memory := memory';
-        events := Flushed (pid, reg, v) :: !events;
+      | Some id ->
+        (match Store_buffer.flush_of_id ~n id with
+        | Some (pid, reg) -> flush_step ~pid ~reg
+        | None -> process_step id);
         incr step;
         enabled := enabled_now ();
         mark ()
-      | Some pid -> (
-        match Pmap.find pid !procs with
-        | Done _ -> assert false
-        | Blocked (inv, k) ->
-          (* The footprint of a fencing step includes the registers its
-             buffer drain writes, so compute it before applying.  A fencing
-             step also absorbs the enabled flush decisions of its own
-             buffer — capture them now and report them to the tree after
-             the commit, or "flush early, interleave, then fence" schedules
-             would be unexplorable (an absorbed flush never appears in any
-             trace, and DPOR only backtracks around observed steps). *)
-          let fp_regs = step_fp_regs !memory ~pid inv in
-          let absorbed =
-            match inv with
-            | Op.Ll _ | Op.Sc _ | Op.Swap _ | Op.Move _ | Op.Fence ->
-              List.filter (fun (p, _) -> p = pid) (Pure_memory.flushable !memory)
-            | Op.Validate _ | Op.Write _ -> []
-          in
-          let response, memory' = Pure_memory.apply !memory ~pid inv in
-          let stepped = Stepped (pid, inv, response) in
-          let branches = expand coin_range pid (k response) in
-          let blocking = List.exists (fun (_, evs, _) -> evs <> []) branches in
-          let b =
-            Sched_tree.commit sched
-              ~fp:{ Sched_tree.regs = fp_regs; blocking }
-              ~branches:(List.length branches)
-          in
-          List.iter (fun pr -> Sched_tree.also sched ~pid:(flush_id pr)) absorbed;
-          let proc', expand_events, outcomes = List.nth branches b in
-          summary := update_summary !summary (stepped :: List.rev expand_events);
-          hists :=
-            Pmap.add pid ((inv, response, outcomes) :: Pmap.find pid !hists) !hists;
-          memory := memory';
-          procs := Pmap.add pid proc' !procs;
-          (match proc' with
-          | Done _ -> runnable := remove_runnable pid !runnable
-          | Blocked _ -> ());
-          events := expand_events @ (stepped :: !events);
-          incr step;
-          enabled := enabled_now ();
-          mark ())
     done;
     if !aborted then None
     else

@@ -1,15 +1,12 @@
 open Lb_memory
 
 module Regs = Map.Make (Int)
-module Pids = Map.Make (Int)
 
 type t = {
   default : Value.t;
   model : Memory_model.t;
   regs : (Value.t * Ids.t) Regs.t;
-  (* Per-process store buffers, oldest entry first (issue order) — empty and
-     untouched under SC.  Mirrors the mutable memory exactly. *)
-  buffers : (int * Value.t) list Pids.t;
+  buffers : Store_buffer.t; (* empty and untouched under SC *)
 }
 
 let create ?(default = Value.Unit) ?(model = Memory_model.SC) ~inits () =
@@ -18,7 +15,7 @@ let create ?(default = Value.Unit) ?(model = Memory_model.SC) ~inits () =
     model;
     regs =
       List.fold_left (fun regs (r, v) -> Regs.add r (v, Ids.empty) regs) Regs.empty inits;
-    buffers = Pids.empty;
+    buffers = Store_buffer.empty;
   }
 
 let model t = t.model
@@ -32,74 +29,35 @@ let pset t r = snd (state t r)
 
 let set t r st = { t with regs = Regs.add r st t.regs }
 
-(* ---- store buffers (TSO / PSO) ---- *)
-
-let buffer t pid = Option.value ~default:[] (Pids.find_opt pid t.buffers)
-
-let set_buffer t pid entries =
-  {
-    t with
-    buffers =
-      (if entries = [] then Pids.remove pid t.buffers
-       else Pids.add pid entries t.buffers);
-  }
-
-let buffered_value t ~pid r =
-  List.fold_left
-    (fun acc (r', v) -> if r' = r then Some v else acc)
-    None (buffer t pid)
+(* ---- store buffers (TSO / PSO): the rules live in [Store_buffer] ---- *)
 
 (* A flushed (or immediate) store: value lands, Pset clears. *)
 let apply_store t (r, v) = set t r (v, Ids.empty)
 
 let drain t ~pid =
-  let t = List.fold_left apply_store t (buffer t pid) in
-  { t with buffers = Pids.remove pid t.buffers }
+  match Store_buffer.drain t.buffers ~pid with
+  | [], _ -> t
+  | entries, buffers -> List.fold_left apply_store { t with buffers } entries
 
-let flushable t =
-  match t.model with
-  | Memory_model.SC -> []
-  | Memory_model.TSO ->
-    Pids.fold
-      (fun pid entries acc ->
-        match entries with [] -> acc | (r, _) :: _ -> (pid, r) :: acc)
-      t.buffers []
-    |> List.sort compare
-  | Memory_model.PSO ->
-    Pids.fold
-      (fun pid entries acc ->
-        let regs = List.sort_uniq Int.compare (List.map fst entries) in
-        List.map (fun r -> (pid, r)) regs @ acc)
-      t.buffers []
-    |> List.sort compare
+let drain_all t =
+  let drained = Store_buffer.buffers t.buffers in
+  let t =
+    List.fold_left
+      (fun t (_, entries) -> List.fold_left apply_store t entries)
+      { t with buffers = Store_buffer.empty }
+      drained
+  in
+  (drained, t)
+
+let flushable t = Store_buffer.flushable t.model t.buffers
 
 let flush t ~pid ~reg =
-  let entries = buffer t pid in
-  match t.model with
-  | Memory_model.SC -> invalid_arg "Pure_memory.flush: no store buffers under SC"
-  | Memory_model.TSO -> (
-    match entries with
-    | (r, v) :: rest when r = reg -> set_buffer (apply_store t (r, v)) pid rest
-    | (r, _) :: _ ->
-      invalid_arg
-        (Printf.sprintf "Pure_memory.flush: TSO head of p%d's buffer is R%d, not R%d" pid r
-           reg)
-    | [] -> invalid_arg (Printf.sprintf "Pure_memory.flush: p%d's buffer is empty" pid))
-  | Memory_model.PSO ->
-    let rec remove_first acc = function
-      | [] ->
-        invalid_arg
-          (Printf.sprintf "Pure_memory.flush: p%d has no buffered write to R%d" pid reg)
-      | (r, v) :: rest when r = reg -> (v, List.rev_append acc rest)
-      | entry :: rest -> remove_first (entry :: acc) rest
-    in
-    let v, rest = remove_first [] entries in
-    set_buffer (apply_store t (reg, v)) pid rest
+  match Store_buffer.take t.model t.buffers ~pid ~reg with
+  | Ok (v, buffers) -> apply_store { t with buffers } (reg, v)
+  | Error reason -> invalid_arg ("Pure_memory.flush: " ^ reason)
 
-let buffers t =
-  Pids.bindings t.buffers |> List.filter (fun (_, entries) -> entries <> [])
-
-let buffered_regs t ~pid = List.sort_uniq Int.compare (List.map fst (buffer t pid))
+let buffers t = Store_buffer.buffers t.buffers
+let buffered_regs t ~pid = Store_buffer.buffered_regs t.buffers ~pid
 
 let canonical t =
   Regs.bindings t.regs
@@ -112,36 +70,32 @@ let canonical t =
 let canonical_full t = (canonical t, buffers t)
 
 let apply t ~pid inv =
+  (match inv with
+  | Op.Move (src, dst) when src = dst -> raise (Memory.Self_move { pid; reg = src })
+  | _ -> ());
   let relaxed = Memory_model.relaxed t.model in
-  let fence t = if relaxed then drain t ~pid else t in
+  let t = if relaxed && Store_buffer.fences inv then drain t ~pid else t in
   match inv with
   | Op.Ll r ->
-    let t = fence t in
     let v, ps = state t r in
     (Op.Value v, set t r (v, Ids.add pid ps))
   | Op.Sc (r, nv) ->
-    let t = fence t in
     let v, ps = state t r in
     if Ids.mem pid ps then (Op.Flagged (true, v), set t r (nv, Ids.empty))
     else (Op.Flagged (false, v), t)
   | Op.Validate r ->
     let v, ps = state t r in
     let v =
-      if relaxed then
-        match buffered_value t ~pid r with Some bv -> bv | None -> v
-      else v
+      if relaxed then Option.value ~default:v (Store_buffer.forwarded t.buffers ~pid r) else v
     in
     (Op.Flagged (Ids.mem pid ps, v), t)
   | Op.Swap (r, nv) ->
-    let t = fence t in
     let v, _ = state t r in
     (Op.Value v, set t r (nv, Ids.empty))
   | Op.Move (src, dst) ->
-    if src = dst then invalid_arg (Printf.sprintf "Pure_memory: move with equal registers R%d" src);
-    let t = fence t in
     let v, _ = state t src in
     (Op.Ack, set t dst (v, Ids.empty))
   | Op.Write (r, v) ->
-    if relaxed then (Op.Ack, set_buffer t pid (buffer t pid @ [ (r, v) ]))
+    if relaxed then (Op.Ack, { t with buffers = Store_buffer.push t.buffers ~pid r v })
     else (Op.Ack, apply_store t (r, v))
-  | Op.Fence -> (Op.Ack, fence t)
+  | Op.Fence -> (Op.Ack, t)

@@ -17,10 +17,12 @@ val create :
 val model : t -> Memory_model.t
 
 val apply : t -> pid:int -> Op.invocation -> Op.response * t
-(** Raises [Invalid_argument] on negative registers or self-moves, like the
-    mutable memory.  Under a relaxed model, [Write] buffers, [Fence] and the
-    synchronisation operations drain the issuing process's buffer first, and
-    [Validate] reads buffer-first — see {!Lb_memory.Memory.apply}. *)
+(** Raises [Invalid_argument] on negative registers and
+    {!Lb_memory.Memory.Self_move} on self-moves, like the mutable memory.
+    Under a relaxed model, [Write] buffers, the fencing operations
+    ({!Lb_memory.Store_buffer.fences}) drain the issuing process's buffer
+    first, and [Validate] reads buffer-first — see
+    {!Lb_memory.Memory.apply}. *)
 
 val peek : t -> int -> Value.t
 (** Current value of a register (shared memory, ignoring buffers), without
@@ -31,25 +33,19 @@ val pset : t -> int -> Ids.t
 
 (** {1 Store buffers (TSO / PSO)}
 
-    The persistent mirror of {!Lb_memory.Memory}'s buffer interface; see
-    there for the semantics.  All raise / return the same way. *)
+    As in {!Lb_memory.Memory}, whose buffer functions these mirror: the
+    rules live in {!Lb_memory.Store_buffer}. *)
 
 val flushable : t -> (int * int) list
-(** Enabled flush actions as sorted [(pid, reg)] pairs; [[]] under SC. *)
 
 val flush : t -> pid:int -> reg:int -> t
-(** Apply the oldest buffered write by [pid] to [reg]; raises
-    [Invalid_argument] when [(pid, reg)] is not in {!flushable}. *)
 
-val drain : t -> pid:int -> t
-(** Apply [pid]'s whole buffer in issue order and empty it — the fence
-    effect.  A no-op when the buffer is empty (in particular under SC). *)
+val drain_all : t -> (int * (int * Value.t) list) list * t
+(** Also returns what was drained, in {!buffers} form. *)
 
 val buffers : t -> (int * (int * Value.t) list) list
-(** Non-empty buffers as sorted [(pid, entries)] pairs, oldest entry first. *)
 
 val buffered_regs : t -> pid:int -> int list
-(** Sorted registers with a pending buffered write by [pid]. *)
 
 val canonical : t -> (int * (Value.t * Ids.t)) list
 (** The {e shared-register} bindings that differ from the default state, in

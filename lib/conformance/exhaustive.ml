@@ -67,14 +67,14 @@ let run_schedule ~construction ~ot ~plan ~model ~n ~ops ~seed ~max_states sched 
     | None -> None
     | Some pid ->
       let regs =
-        (* A flush pseudo-pid (>= n, see {!Lb_universal.Harness}) writes
-           exactly its encoded register; process steps footprint their
-           pending invocation. *)
-        if pid >= n then [ (pid / n) - 1 ]
-        else
+        (* A flush pseudo-pid writes exactly its encoded register; process
+           steps footprint their pending invocation. *)
+        match Lb_memory.Store_buffer.flush_of_id ~n pid with
+        | Some (_, reg) -> [ reg ]
+        | None -> (
           match !pending_of pid with
           | Some inv -> Sched_tree.footprint inv
-          | None -> []
+          | None -> [])
       in
       parked := Some (regs, boundary ());
       Some pid

@@ -8,7 +8,8 @@
 
     Layering, bottom-up:
     - {!Value}, {!Bitvec}, {!Ids}, {!Op}, {!Register}, {!Memory}, {!Layout}:
-      the shared-memory model of Section 3;
+      the shared-memory model of Section 3, with {!Memory_model} and
+      {!Store_buffer} for the relaxed (TSO/PSO) axis;
     - {!Coin}, {!Program}, {!Process}, {!System}, {!Scheduler}: algorithms as
       schedulable step machines;
     - {!Move_spec}, {!Source_movers}, {!Secretive}: Section 4's secretive
@@ -60,6 +61,7 @@ module Op = Lb_memory.Op
 module Register = Lb_memory.Register
 module Memory = Lb_memory.Memory
 module Memory_model = Lb_memory.Memory_model
+module Store_buffer = Lb_memory.Store_buffer
 module Layout = Lb_memory.Layout
 module Profile = Lb_memory.Profile
 

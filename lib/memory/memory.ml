@@ -37,11 +37,7 @@ type t = {
   mutable interposer : interposer option;
   mutable tap : tap option;
   model : Memory_model.t;
-  (* Per-process store buffers, oldest entry first.  Issue order is recorded
-     for both relaxed models; TSO flushes strictly from the head, PSO may
-     flush the oldest entry of any register (per-register FIFO).  Empty and
-     untouched under SC. *)
-  buffers : (int, (int * Value.t) list) Hashtbl.t;
+  mutable buffers : Store_buffer.t; (* empty and untouched under SC *)
 }
 
 let create ?(default = Value.Unit) ?(log = false) ?(model = Memory_model.SC) () =
@@ -56,7 +52,7 @@ let create ?(default = Value.Unit) ?(log = false) ?(model = Memory_model.SC) () 
     interposer = None;
     tap = None;
     model;
-    buffers = Hashtbl.create 4;
+    buffers = Store_buffer.empty;
   }
 
 let model m = m.model
@@ -95,78 +91,31 @@ let register m r =
 
 let set_init m r v = Register.write (register m r) v
 
-(* ---- store buffers (TSO / PSO) ---- *)
-
-let buffer m pid = Option.value ~default:[] (Hashtbl.find_opt m.buffers pid)
-
-let set_buffer m pid entries =
-  if entries = [] then Hashtbl.remove m.buffers pid else Hashtbl.replace m.buffers pid entries
-
-(* The owner's view of a register: its newest buffered write, else shared
-   memory.  Other processes never consult the buffer. *)
-let buffered_value m ~pid r =
-  List.fold_left
-    (fun acc (r', v) -> if r' = r then Some v else acc)
-    None (buffer m pid)
+(* ---- store buffers (TSO / PSO): the rules live in [Store_buffer] ---- *)
 
 let apply_store m (r, v) = Register.write (register m r) v
 
-(* Drain [pid]'s whole buffer in issue order — the fence semantics of
-   LL/SC/swap/move/fence.  Issue order respects each register's FIFO, so it
-   is a legal flush order under both TSO and PSO. *)
 let drain m ~pid =
-  List.iter (apply_store m) (buffer m pid);
-  Hashtbl.remove m.buffers pid
+  let entries, rest = Store_buffer.drain m.buffers ~pid in
+  List.iter (apply_store m) entries;
+  m.buffers <- rest
 
-let flushable m =
-  match m.model with
-  | Memory_model.SC -> []
-  | Memory_model.TSO ->
-    Hashtbl.fold
-      (fun pid entries acc ->
-        match entries with [] -> acc | (r, _) :: _ -> (pid, r) :: acc)
-      m.buffers []
-    |> List.sort compare
-  | Memory_model.PSO ->
-    (* One choice per (pid, register) with a pending write: the oldest entry
-       of that register's FIFO. *)
-    Hashtbl.fold
-      (fun pid entries acc ->
-        let regs = List.sort_uniq Int.compare (List.map fst entries) in
-        List.map (fun r -> (pid, r)) regs @ acc)
-      m.buffers []
-    |> List.sort compare
+let drain_all m =
+  List.iter
+    (fun (_, entries) -> List.iter (apply_store m) entries)
+    (Store_buffer.buffers m.buffers);
+  m.buffers <- Store_buffer.empty
+
+let flushable m = Store_buffer.flushable m.model m.buffers
 
 let flush m ~pid ~reg =
-  let entries = buffer m pid in
-  match m.model with
-  | Memory_model.SC -> invalid_arg "Memory.flush: no store buffers under SC"
-  | Memory_model.TSO -> (
-    match entries with
-    | (r, v) :: rest when r = reg ->
-      apply_store m (r, v);
-      set_buffer m pid rest
-    | (r, _) :: _ ->
-      invalid_arg (Printf.sprintf "Memory.flush: TSO head of p%d's buffer is R%d, not R%d" pid r reg)
-    | [] -> invalid_arg (Printf.sprintf "Memory.flush: p%d's buffer is empty" pid))
-  | Memory_model.PSO ->
-    (* Remove and apply the oldest entry for [reg]; entries for other
-       registers keep their relative order. *)
-    let rec remove_first acc = function
-      | [] -> invalid_arg (Printf.sprintf "Memory.flush: p%d has no buffered write to R%d" pid reg)
-      | (r, v) :: rest when r = reg ->
-        apply_store m (r, v);
-        List.rev_append acc rest
-      | entry :: rest -> remove_first (entry :: acc) rest
-    in
-    set_buffer m pid (remove_first [] entries)
+  match Store_buffer.take m.model m.buffers ~pid ~reg with
+  | Ok (v, rest) ->
+    apply_store m (reg, v);
+    m.buffers <- rest
+  | Error reason -> invalid_arg ("Memory.flush: " ^ reason)
 
-let buffers m =
-  Hashtbl.fold (fun pid entries acc -> (pid, entries) :: acc) m.buffers []
-  |> List.filter (fun (_, entries) -> entries <> [])
-  |> List.sort compare
-
-let buffered_regs m ~pid = List.sort_uniq Int.compare (List.map fst (buffer m pid))
+let buffers m = Store_buffer.buffers m.buffers
 
 let count m pid =
   if pid < 0 then invalid_arg (Printf.sprintf "Memory: negative process id %d" pid);
@@ -179,20 +128,19 @@ let apply m ~pid invocation =
     match m.interposer with None -> Proceed | Some f -> f ~pid invocation
   in
   let relaxed = Memory_model.relaxed m.model in
-  (* LL/SC/swap/move are fences: they drain the issuing process's buffer
-     before taking effect, so the synchronisation repertoire always acts on
-     globally visible state.  [Validate] is the plain (buffer-first) read
-     and [Write] the plain (buffered) store. *)
-  let fence () = if relaxed then drain m ~pid in
+  (match invocation with
+  | Op.Move (src, dst) when src = dst -> raise (Self_move { pid; reg = src })
+  | _ -> ());
+  (* Fences drain the issuing process's buffer before taking effect, so the
+     synchronisation repertoire always acts on globally visible state. *)
+  if relaxed && Store_buffer.fences invocation then drain m ~pid;
   let response =
     match invocation with
     | Op.Ll r ->
-      fence ();
       let reg = register m r in
       Register.link reg pid;
       Op.Value (Register.value reg)
     | Op.Sc (r, v) ->
-      fence ();
       let reg = register m r in
       let old = Register.value reg in
       (match directive with
@@ -211,31 +159,26 @@ let apply m ~pid invocation =
       let reg = register m r in
       let v =
         if relaxed then
-          match buffered_value m ~pid r with
+          match Store_buffer.forwarded m.buffers ~pid r with
           | Some v -> v
           | None -> Register.value reg
         else Register.value reg
       in
       Op.Flagged (Register.linked reg pid, v)
     | Op.Swap (r, v) ->
-      fence ();
       let reg = register m r in
       let old = Register.value reg in
       Register.write reg v;
       Op.Value old
     | Op.Move (src, dst) ->
-      if src = dst then raise (Self_move { pid; reg = src });
-      fence ();
       let sv = Register.value (register m src) in
       Register.write (register m dst) sv;
       Op.Ack
     | Op.Write (r, v) ->
-      if relaxed then set_buffer m pid (buffer m pid @ [ (r, v) ])
+      if relaxed then m.buffers <- Store_buffer.push m.buffers ~pid r v
       else apply_store m (r, v);
       Op.Ack
-    | Op.Fence ->
-      fence ();
-      Op.Ack
+    | Op.Fence -> Op.Ack
   in
   count m pid;
   if m.log_enabled then m.log <- { pid; invocation; response } :: m.log;

@@ -85,45 +85,32 @@ val apply : t -> pid:int -> Op.invocation -> Op.response
 
     Under a relaxed model ({!Memory_model.relaxed}): [Write] enters [pid]'s
     store buffer instead of memory; [Fence], [Ll], [Sc], [Swap] and [Move]
-    first drain [pid]'s buffer (they are fences); [Validate] reads [pid]'s
-    newest buffered write to the register if one exists, shared memory
-    otherwise (the link flag always comes from the shared Pset).  Under SC
-    every operation applies immediately. *)
+    first drain [pid]'s buffer ({!Store_buffer.fences}); [Validate] reads
+    [pid]'s newest buffered write to the register if one exists
+    ({!Store_buffer.forwarded}), shared memory otherwise (the link flag
+    always comes from the shared Pset).  Under SC every operation applies
+    immediately and the buffers are never touched. *)
 
 (** {1:buffers Store buffers (TSO / PSO)}
 
-    Buffered writes become visible to other processes only when {e flushed} —
-    a scheduler-visible step distinct from any process's program step.  The
-    scheduler asks {!flushable} what flush actions exist and performs one
-    with {!flush}.  Under TSO each process's buffer is a single FIFO, so at
-    most one flush per process is enabled (its head); under PSO the buffer is
-    a FIFO per register, so one flush per (process, register) pair with a
-    pending write is enabled.  Flushing applies {!Register.write} — the value
-    lands and the register's Pset is cleared, exactly as an immediate write
-    would. *)
+    Buffered writes become visible to other processes only when {e flushed},
+    a scheduler-visible step.  The rules live in {!Store_buffer}; this memory
+    applies each store it releases with {!Register.write}, so the value lands
+    and the Pset clears exactly as an immediate write would. *)
 
 val flushable : t -> (int * int) list
-(** Enabled flush actions as sorted [(pid, reg)] pairs.  Always [[]] under
-    SC.  Under TSO, the head register of each non-empty buffer; under PSO,
-    each register with a pending write, per process. *)
+(** {!Store_buffer.flushable} of this memory's buffers. *)
 
 val flush : t -> pid:int -> reg:int -> unit
-(** Apply the oldest buffered write by [pid] to [reg] and remove it from the
-    buffer.  Raises [Invalid_argument] under SC, when no such write is
-    pending, or (TSO) when [reg] is not the buffer's head — i.e. whenever
-    [(pid, reg)] is not in {!flushable}. *)
+(** Apply the oldest buffered write by [pid] to [reg].  Raises
+    [Invalid_argument] when [(pid, reg)] is not in {!flushable}. *)
 
-val drain : t -> pid:int -> unit
-(** Apply [pid]'s whole buffer in issue order and empty it — the fence
-    effect, without counting an operation.  A no-op when the buffer is empty
-    (in particular under SC). *)
+val drain_all : t -> unit
+(** Apply every buffered write, ascending pid and issue order within one:
+    the quiescence drain.  Counts no operation. *)
 
 val buffers : t -> (int * (int * Value.t) list) list
-(** Non-empty store buffers as sorted [(pid, entries)] pairs, entries in
-    issue order (oldest first).  [[]] under SC. *)
-
-val buffered_regs : t -> pid:int -> int list
-(** Sorted registers with a pending buffered write by [pid]. *)
+(** {!Store_buffer.buffers} of this memory's buffers. *)
 
 (** {1 Observer access} — none of these count as shared-memory operations;
     they exist for schedulers, run records and tests. *)

@@ -4,9 +4,9 @@
     consistent: a shared-memory operation takes effect the instant it is
     applied, and every process observes the same global order.  Real machines
     relax this with per-processor store buffers.  This module names the three
-    models the simulator implements; the semantics live in
-    {!Lb_memory.Memory} (mutable) and [Lb_check.Pure_memory] (persistent),
-    and are identical between the two:
+    models the simulator implements; the buffer semantics live once, in
+    {!Lb_memory.Store_buffer}, which both {!Lb_memory.Memory} (mutable) and
+    [Lb_check.Pure_memory] (persistent) keep and consult:
 
     - {b SC} — sequential consistency.  Plain writes apply immediately.  The
       default everywhere; all pre-existing behaviour is byte-identical.

@@ -23,11 +23,7 @@ let process t pid =
 let processes t = t.processes
 
 (* Under a relaxed memory model ({!Lb_memory.Memory_model}), pending flushes
-   are scheduling choices too.  flush(p, r) is encoded as the pseudo-pid
-   n*(1+r)+p — injective, disjoint from real pids 0..n-1, and decodable
-   without carrying state. *)
-let flush_id t (pid, reg) = (Array.length t.processes * (1 + reg)) + pid
-
+   are scheduling choices too, named by {!Lb_memory.Store_buffer.flush_id}. *)
 let runnable t =
   let pids =
     Array.to_list t.processes
@@ -40,20 +36,21 @@ let runnable t =
     (* Quiescence: every process has terminated, so remaining buffered
        writes drain deterministically — with no reads left, flush order is
        unobservable and enumerating it would be noise. *)
-    List.iter (fun (pid, _) -> Memory.drain t.memory ~pid) (Memory.buffers t.memory);
+    Memory.drain_all t.memory;
     []
-  | _ :: _ -> pids @ List.map (flush_id t) (Memory.flushable t.memory)
+  | _ :: _ ->
+    pids
+    @ List.map
+        (fun (pid, reg) -> Store_buffer.flush_id ~n:(n t) ~pid ~reg)
+        (Memory.flushable t.memory)
 
 let step t ~pid =
-  let n = Array.length t.processes in
-  if pid >= n then
-    (* A flush pseudo-pid from {!runnable}. *)
-    Memory.flush t.memory ~pid:(pid mod n) ~reg:((pid / n) - 1)
-  else begin
+  match Store_buffer.flush_of_id ~n:(n t) pid with
+  | Some (pid, reg) -> Memory.flush t.memory ~pid ~reg
+  | None ->
     let p = process t pid in
     Process.advance_local p t.assignment;
     if not (Process.is_terminated p) then ignore (Process.exec_op p t.memory ~round:(-1))
-  end
 
 type outcome = All_terminated | Out_of_fuel | Stalled
 

@@ -188,12 +188,13 @@ let run_handle ~memory ~handle ~n ~ops ?(scheduler = Scheduler.round_robin)
       | Process.Running -> ())
   in
   (* Under a relaxed memory model, enabled store-buffer flushes join the
-     schedulable set as pseudo-pids [n*(1+r)+p] — the same encoding as
-     {!Lb_runtime.System} — so schedulers and the DPOR oracle decide flush
-     order like any other step.  Fault hooks never see pseudo-pids: faults
-     target processes, and a flush is the memory acting, not a process. *)
+     schedulable set as {!Lb_memory.Store_buffer.flush_id} pseudo-pids — the
+     same alphabet as {!Lb_runtime.System} — so schedulers and the DPOR
+     oracle decide flush order like any other step.  Fault hooks never see
+     pseudo-pids: faults target processes, and a flush is the memory acting,
+     not a process. *)
   let flush_ids () =
-    List.map (fun (p, r) -> (n * (1 + r)) + p) (Memory.flushable memory)
+    List.map (fun (pid, reg) -> Store_buffer.flush_id ~n ~pid ~reg) (Memory.flushable memory)
   in
   let rec drive step remaining =
     (match hooks with
@@ -203,7 +204,7 @@ let run_handle ~memory ~handle ~n ~ops ?(scheduler = Scheduler.round_robin)
     | [] ->
       (* Quiescent: every operation responded, so remaining buffered stores
          drain in a deterministic order no one can observe. *)
-      List.iter (fun (pid, _) -> Memory.drain memory ~pid) (Memory.buffers memory);
+      Memory.drain_all memory;
       true
     | pids ->
       if remaining = 0 then false
@@ -227,15 +228,15 @@ let run_handle ~memory ~handle ~n ~ops ?(scheduler = Scheduler.round_robin)
             if Lb_observe.Tracer.active () then
               Lb_observe.Tracer.record
                 (Lb_observe.Event.Sched { step; chosen = pid; runnable = choices });
-            if pid >= n then Memory.flush memory ~pid:(pid mod n) ~reg:((pid / n) - 1)
-            else begin
+            (match Store_buffer.flush_of_id ~n pid with
+            | Some (pid, reg) -> Memory.flush memory ~pid ~reg
+            | None -> (
               let slot = slots.(pid) in
               match slot.current with
               | None -> assert false
               | Some (op, proc, invoked) ->
                 exec slot op proc invoked;
-                (match hooks with Some h -> h.note_step ~step ~pid | None -> ())
-            end;
+                (match hooks with Some h -> h.note_step ~step ~pid | None -> ())));
             drive (step + 1) (remaining - 1)))
   in
   let completed = drive 0 fuel in

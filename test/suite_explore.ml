@@ -463,10 +463,11 @@ let prop_dpor_agrees =
 (* The canonical-count property: with state dedup on, the surviving
    schedule set has one representative per covered class, and the DPOR
    walk lands on exactly [iter_reduced]'s counts — the two reductions
-   agree not just on outcomes but on size. *)
+   agree not just on outcomes but on size.  The counts are also pinned as
+   literals, so either walk can be replaced without losing them. *)
 let test_dpor_corpus_agreement () =
   List.iter
-    (fun (name, entry, n, coin_range) ->
+    (fun (name, entry, n, coin_range, expected) ->
       let program_of, inits = (entry : Corpus.entry).Corpus.make ~n in
       let reduced = ref [] in
       let stats =
@@ -484,14 +485,20 @@ let test_dpor_corpus_agreement () =
       Alcotest.(check int)
         (name ^ ": dpor+dedup schedule count = reduced count")
         stats.Explore.runs dstats.Sched_tree.schedules;
+      Alcotest.(check int) (name ^ ": reduced count pinned") expected stats.Explore.runs;
+      Alcotest.(check int)
+        (name ^ ": dpor+dedup count pinned")
+        expected dstats.Sched_tree.schedules;
       Alcotest.(check bool) (name ^ ": same distinct outcomes") true
         (distinct !reduced = distinct !dpor))
     [
-      ("naive n=2", Corpus.naive, 2, [ 0 ]);
-      ("naive n=3", Corpus.naive, 3, [ 0 ]);
-      ("post-collect n=2", Corpus.post_collect, 2, [ 0 ]);
-      ("move-collect n=2", Corpus.move_collect, 2, [ 0 ]);
-      ("two-counter n=2", Corpus.two_counter, 2, [ 0; 1 ]);
+      ("naive n=2", Corpus.naive, 2, [ 0 ], 4);
+      ("naive n=3", Corpus.naive, 3, [ 0 ], 60);
+      ("post-collect n=2", Corpus.post_collect, 2, [ 0 ], 5);
+      ("post-collect n=3", Corpus.post_collect, 3, [ 0 ], 52);
+      ("move-collect n=2", Corpus.move_collect, 2, [ 0 ], 6);
+      ("two-counter n=2", Corpus.two_counter, 2, [ 0; 1 ], 38);
+      ("tree-collect n=2", Corpus.tree_collect, 2, [ 0 ], 100);
     ]
 
 (* The headline reduction: on tree-collect n=2, sleep-set POR explores

@@ -154,7 +154,11 @@ let test_self_move () =
       ignore (Memory.apply m ~pid:4 (Op.Move (3, 3))));
   (* The rejected operation neither counts nor changes anything. *)
   Alcotest.(check int) "not counted" 0 (Memory.ops_of m ~pid:4);
-  Alcotest.check value "unchanged" (Value.Int 9) (Memory.peek m 3)
+  Alcotest.check value "unchanged" (Value.Int 9) (Memory.peek m 3);
+  (* The persistent memory rejects it with the same exception. *)
+  let pm = Pure_memory.create ~inits:[ (3, Value.Int 9) ] () in
+  Alcotest.check_raises "pure memory: self-move rejected" (Memory.Self_move { pid = 4; reg = 3 })
+    (fun () -> ignore (Pure_memory.apply pm ~pid:4 (Op.Move (3, 3))))
 
 let test_largest_value_size () =
   let m = Memory.create () in
@@ -415,40 +419,137 @@ let test_flush_kills_links () =
   Alcotest.check response "p1's SC fails" (Op.Flagged (false, Value.Int 1))
     (Memory.apply m ~pid:1 (Op.Sc (0, Value.Int 9)))
 
-let test_pure_memory_buffers_match () =
-  (* The persistent model-checking memory implements the identical buffer
-     semantics: drive the same relaxed script through both and compare. *)
-  List.iter
-    (fun model ->
-      let m = Memory.create ~model ~default:(Value.Int 0) () in
-      let pm = ref (Pure_memory.create ~model ~default:(Value.Int 0) ~inits:[] ()) in
-      let script =
-        [
-          (0, Op.Write (0, Value.Int 1)); (0, Op.Write (1, Value.Int 2));
-          (1, Op.Validate 0); (0, Op.Validate 0); (1, Op.Ll 1);
-          (0, Op.Write (0, Value.Int 3)); (1, Op.Sc (1, Value.Int 9)); (0, Op.Fence);
-          (1, Op.Swap (0, Value.Int 4));
-        ]
-      in
-      List.iter
-        (fun (pid, inv) ->
-          let rm = Memory.apply m ~pid inv in
-          let rp, pm' = Pure_memory.apply !pm ~pid inv in
-          pm := pm';
-          Alcotest.check response
-            (Printf.sprintf "%s: same response" (Memory_model.to_string model)) rm rp)
-        script;
+(* The persistent model-checking memory implements the identical buffer
+   semantics: drive the same relaxed script through both and compare
+   responses, registers, Psets, enabled flushes and buffer contents after
+   every step.  [Flush k] performs the [k]-th (mod count) enabled flush, or
+   nothing when none is enabled. *)
+type action = Apply of int * Op.invocation | Flush of int
+
+let differential model script =
+  let name = Memory_model.to_string model in
+  let m = Memory.create ~model ~default:(Value.Int 0) () in
+  let pm = ref (Pure_memory.create ~model ~default:(Value.Int 0) ~inits:[] ()) in
+  (* Plain comparisons rather than [Alcotest.check]: the qcheck property
+     runs this thousands of times and would flood the test log. *)
+  let same i what pp a b =
+    if not (a = b) then
+      Alcotest.failf "%s step %d: %s differs: memory %a, pure memory %a" name i what pp a pp
+        b
+  in
+  let pp_pairs = Fmt.(Dump.list (Dump.pair int int)) in
+  let pp_buffers = Fmt.(Dump.list (Dump.pair int (Dump.list (Dump.pair int Value.pp)))) in
+  List.iteri
+    (fun i action ->
+      (match action with
+      | Apply (pid, inv) ->
+        let rm = Memory.apply m ~pid inv in
+        let rp, pm' = Pure_memory.apply !pm ~pid inv in
+        pm := pm';
+        same i "response" Op.pp_response rm rp
+      | Flush k -> (
+        match Memory.flushable m with
+        | [] -> ()
+        | enabled ->
+          let pid, reg = List.nth enabled (k mod List.length enabled) in
+          Memory.flush m ~pid ~reg;
+          pm := Pure_memory.flush !pm ~pid ~reg));
       List.iter
         (fun r ->
-          Alcotest.check value
-            (Printf.sprintf "%s: same R%d" (Memory_model.to_string model) r)
-            (Memory.peek m r) (Pure_memory.peek !pm r))
+          same i (Printf.sprintf "R%d" r) Value.pp (Memory.peek m r) (Pure_memory.peek !pm r);
+          same i
+            (Printf.sprintf "Pset of R%d" r)
+            Fmt.(Dump.list int)
+            (Ids.elements (Memory.pset m r))
+            (Ids.elements (Pure_memory.pset !pm r)))
         [ 0; 1; 2 ];
-      Alcotest.(check (list (pair int int)))
-        (Memory_model.to_string model ^ ": same flushable set")
-        (Memory.flushable m)
-        (Pure_memory.flushable !pm))
+      same i "flushable set" pp_pairs (Memory.flushable m) (Pure_memory.flushable !pm);
+      same i "buffers" pp_buffers (Memory.buffers m) (Pure_memory.buffers !pm))
+    script
+
+let test_pure_memory_buffers_match () =
+  let script =
+    [
+      (0, Op.Write (0, Value.Int 1)); (0, Op.Write (1, Value.Int 2));
+      (1, Op.Validate 0); (0, Op.Validate 0); (1, Op.Ll 1);
+      (0, Op.Write (0, Value.Int 3)); (1, Op.Sc (1, Value.Int 9)); (0, Op.Fence);
+      (1, Op.Swap (0, Value.Int 4));
+    ]
+  in
+  List.iter
+    (fun model -> differential model (List.map (fun (pid, inv) -> Apply (pid, inv)) script))
     [ Memory_model.TSO; Memory_model.PSO ]
+
+(* Random two-process scripts over three registers, flushes interleaved. *)
+let prop_pure_memory_buffers_match =
+  let open QCheck in
+  let gen_invocation =
+    Gen.(
+      let reg = int_bound 2 and v = map (fun i -> Value.Int i) (int_bound 9) in
+      frequency
+        [
+          (4, map2 (fun r v -> Op.Write (r, v)) reg v);
+          (2, map (fun r -> Op.Validate r) reg);
+          (1, map (fun r -> Op.Ll r) reg);
+          (1, map2 (fun r v -> Op.Sc (r, v)) reg v);
+          (1, map2 (fun r v -> Op.Swap (r, v)) reg v);
+          (1, map2 (fun src d -> Op.Move (src, (src + 1 + d) mod 3)) reg (int_bound 1));
+          (1, return Op.Fence);
+        ])
+  in
+  let gen_action =
+    Gen.(
+      frequency
+        [
+          (3, map (fun k -> Flush k) (int_bound 7));
+          (7, map2 (fun pid inv -> Apply (pid, inv)) (int_bound 1) gen_invocation);
+        ])
+  in
+  let print_action = function
+    | Apply (pid, inv) -> Format.asprintf "p%d: %a" pid Op.pp_invocation inv
+    | Flush k -> Printf.sprintf "flush #%d" k
+  in
+  let arb =
+    make
+      ~print:(fun (model, script) ->
+        Memory_model.to_string model ^ ": " ^ String.concat "; " (List.map print_action script))
+      ~shrink:(fun (model, script) -> Iter.map (fun s -> (model, s)) (Shrink.list script))
+      Gen.(
+        pair
+          (oneofl [ Memory_model.TSO; Memory_model.PSO ])
+          (list_size (int_range 1 30) gen_action))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"pure memory = mutable memory on random relaxed scripts" arb
+       (fun (model, script) ->
+         differential model script;
+         true))
+
+(* The flush alphabet: ids of flushes are disjoint from the pids 0 .. n-1
+   and decode back to the flush they name. *)
+let prop_flush_id_roundtrip =
+  let open QCheck in
+  let gen =
+    Gen.(
+      int_range 1 8 >>= fun n ->
+      map2 (fun a b -> (n, a, b)) (pair (int_bound (n - 1)) (int_bound 20))
+        (pair (int_bound (n - 1)) (int_bound 20)))
+  in
+  let arb =
+    make
+      ~print:(fun (n, (p1, r1), (p2, r2)) ->
+        Printf.sprintf "n=%d (p%d, R%d) (p%d, R%d)" n p1 r1 p2 r2)
+      gen
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"flush ids round-trip and are injective" arb
+       (fun (n, (p1, r1), (p2, r2)) ->
+         let id1 = Store_buffer.flush_id ~n ~pid:p1 ~reg:r1 in
+         let id2 = Store_buffer.flush_id ~n ~pid:p2 ~reg:r2 in
+         id1 >= n
+         && Store_buffer.flush_of_id ~n id1 = Some (p1, r1)
+         && Store_buffer.flush_of_id ~n p1 = None
+         && (id1 = id2) = ((p1, r1) = (p2, r2))))
 
 let test_model_strings () =
   List.iter
@@ -497,5 +598,7 @@ let suite =
     Alcotest.test_case "fences drain" `Quick test_fences_drain;
     Alcotest.test_case "flush kills links" `Quick test_flush_kills_links;
     Alcotest.test_case "pure memory matches buffers" `Quick test_pure_memory_buffers_match;
+    prop_pure_memory_buffers_match;
+    prop_flush_id_roundtrip;
     Alcotest.test_case "memory model strings + lattice" `Quick test_model_strings;
   ]
