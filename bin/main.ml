@@ -542,7 +542,9 @@ let conform_cmd =
     Arg.(
       value & opt int 200_000
       & info [ "max-schedules" ] ~docv:"M"
-          ~doc:"Abort an $(b,--exhaustive) walk past this many runs (safety valve, an error).")
+          ~doc:
+            "Stop an $(b,--exhaustive) walk after this many runs; a cell cut there is \
+             reported $(b,[BOUNDED]) (not exhaustive), not as a failure.")
   in
   let report_arg =
     Arg.(
@@ -849,9 +851,9 @@ let explore_cmd =
       value & flag
       & info [ "reduced" ]
           ~doc:
-            "Use sleep-set + state-dedup reduction: explores a schedule subset covering every \
-             distinct (results, wakeup verdict) outcome, and reports how many subtrees were \
-             pruned.  Sound for the wakeup check; orders of magnitude fewer schedules.")
+            "Use the DPOR walk with sleep sets and state dedup: explores a schedule subset \
+             covering every distinct (results, wakeup verdict) outcome, and reports how many \
+             runs were cut.  Sound for the wakeup check; orders of magnitude fewer schedules.")
   in
   let run () name n max_runs reduced =
     let entry = find_entry name in
@@ -861,14 +863,9 @@ let explore_cmd =
     let check run = if not (Explore.wakeup_ok ~n run) then incr violations in
     (try
        if reduced then begin
-         let stats =
-           Explore.iter_reduced ~n ~program_of ~inits ~coin_range ~max_runs ~f:check ()
-         in
-         Format.printf
-           "%s at n = %d (reduced): %d schedules explored (%d sleep-set prunes, %d revisited \
-            states cut), %d wakeup violations -> %s@."
-           name n stats.Explore.runs stats.Explore.sleep_pruned stats.Explore.dedup_pruned
-           !violations
+         let stats = Explore.iter_dpor ~n ~program_of ~inits ~coin_range ~max_runs ~f:check () in
+         Format.printf "%s at n = %d (reduced): %a, %d wakeup violations -> %s@." name n
+           Sched_tree.pp_stats stats !violations
            (if !violations = 0 then "VERIFIED" else "VIOLATED")
        end
        else begin

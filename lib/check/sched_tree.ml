@@ -3,8 +3,10 @@ open Lb_runtime
 
 type fp = { regs : int list; blocking : bool }
 
-let dependent a b =
-  a.blocking || b.blocking || List.exists (fun r -> List.mem r b.regs) a.regs
+(* No closure: the race passes call this O(len²) times per run. *)
+let rec overlap xs ys = match xs with [] -> false | x :: rest -> List.mem x ys || overlap rest ys
+
+let dependent a b = a.blocking || b.blocking || overlap a.regs b.regs
 
 let footprint = function
   | Op.Ll r | Op.Sc (r, _) | Op.Validate r | Op.Swap (r, _) | Op.Write (r, _) -> [ r ]
@@ -62,6 +64,8 @@ type node = {
   nd_enabled : int list;
   mutable nd_todo : (int * int) list;  (* decisions awaiting exploration *)
   mutable nd_edges : edge list;  (* explored decisions, in DFS order *)
+  mutable nd_clean : bool;  (* no todo at or below this node (see [find_next]) *)
+  mutable nd_vent : vent option;  (* dedup entry of the state at this node *)
 }
 
 and edge = {
@@ -75,24 +79,31 @@ and edge = {
    after Yang et al.): the weakest sleep set it was ever reached with
    (Godefroid's revisit rule), the [(pid, footprint)] of every step known
    to occur below it, and the runs that were cut at it — each cut run's
-   prefix must be re-raced against summary entries that arrive later. *)
-type 'k vent = {
+   prefix must be re-raced against summary entries that arrive later.
+   Summary entries are interned as ints (see [interner]); [v_sum] holds
+   them newest first, [v_set] answers membership. *)
+and vent = {
   mutable v_sleep : int list;
-  mutable v_sum : (int * fp) list;
-  mutable v_subs : 'k sub list;
+  mutable v_sum : int list;
+  v_set : (int, unit) Hashtbl.t;
+  mutable v_subs : sub list;
 }
 
-and 'k sub = {
+and sub = {
   s_trace : tstep array;
   s_nodes : node array;
   s_hb : int -> int -> bool;
-  s_marks : ('k * int) list;
+  s_marks : (vent * int) list;
 }
+
+let new_vent sleep = { v_sleep = sleep; v_sum = []; v_set = Hashtbl.create 8; v_subs = [] }
 
 type 'k dpor = {
   d_bounds : bounds;
-  d_visited : ('k, 'k vent) Hashtbl.t;  (* canonical state -> bookkeeping *)
-  mutable d_prefix : (int * int) list;  (* (pid, branch) decisions to replay *)
+  (* canonical state, with a hash of all of it in front -> bookkeeping *)
+  d_visited : (int * 'k, vent) Hashtbl.t;
+  (* (pid, branch, node deciding it) decisions to replay *)
+  mutable d_prefix : (int * int * node) list;
   d_div_sleep : entry list;  (* sleep set in force at the divergence point *)
   mutable d_sleep : entry list;
   mutable d_trace : tstep list;  (* reversed *)
@@ -101,8 +112,8 @@ type 'k dpor = {
   mutable d_last : int option;
   d_counts : (int, int) Hashtbl.t;
   mutable d_status : status;
-  mutable d_marks : ('k * int) list;  (* (state key, depth) along this run *)
-  mutable d_cut : 'k option;  (* the covered key this run was cut at *)
+  mutable d_marks : (vent * int) list;  (* (state entry, depth) along this run *)
+  mutable d_cut : vent option;  (* the covered entry this run was cut at *)
   (* A successful [choose] parks (pid, enabled, prefix branch) here until
      the matching [commit] arrives with the footprint. *)
   mutable d_pending : (int * int list * int option) option;
@@ -149,7 +160,7 @@ let choose (s : _ sched) ~step ~enabled =
     else begin
       assert (d.d_pending = None);
       match d.d_prefix with
-      | (pid, b) :: _ ->
+      | (pid, b, _) :: _ ->
         if not (List.mem pid enabled) then
           failwith "Sched_tree: divergent replay (prefix pid not enabled)";
         d.d_pending <- Some (pid, enabled, Some b);
@@ -236,32 +247,50 @@ let also (s : _ sched) ~pid =
     | [] -> invalid_arg "Sched_tree.also: no committed step"
     | t :: _ -> if not (List.mem pid t.t_also) then t.t_also <- pid :: t.t_also)
 
+(* [Hashtbl.hash] stops after 10 meaningful words, which lumps keys that
+   differ only deep in memory or histories into one bucket; hashing the
+   whole key once up front keeps the dedup table flat. *)
+let visited_key k = (Hashtbl.hash_param 256 256 k, k)
+
+(* The dedup entry of [key ()], created with sleep set [sleep] if new. *)
+let entry d key sleep =
+  let k = visited_key (key ()) in
+  match Hashtbl.find_opt d.d_visited k with
+  | Some v -> v
+  | None ->
+    let v = new_vent sleep in
+    Hashtbl.add d.d_visited k v;
+    v
+
 let mark (s : _ sched) ~key =
   match s with
   | Sample _ | Replay _ -> ()
   | Dpor d ->
     if d.d_status = Running then begin
-      if d.d_prefix <> [] then
-        (* Replayed prefix: the state is already in the table (its original
-           run marked it) and aborting the replay would orphan the todo —
-           but this run's continuation still lies below it, so remember the
-           position for the summary pass. *)
-        d.d_marks <- (key, d.d_depth) :: d.d_marks
-      else begin
+      match d.d_prefix with
+      | (_, _, node) :: _ ->
+        (* Replayed prefix: the state was marked by the run that built
+           [node] and aborting the replay would orphan the todo — but this
+           run's continuation still lies below it, so remember the position
+           for the summary pass. *)
+        let v = match node.nd_vent with Some v -> v | None -> entry d key [] in
+        d.d_marks <- (v, d.d_depth) :: d.d_marks
+      | [] -> (
         let current = List.map (fun e -> e.sl_pid) d.d_sleep in
-        match Hashtbl.find_opt d.d_visited key with
+        let k = visited_key (key ()) in
+        match Hashtbl.find_opt d.d_visited k with
         | Some v when List.for_all (fun p -> List.mem p current) v.v_sleep ->
           d.d_status <- Deduped;
-          d.d_cut <- Some key
+          d.d_cut <- Some v
         | Some v ->
           (* Godefroid's revisit rule: re-explore, remembering the weaker
              (intersected) sleep set for future visits. *)
           v.v_sleep <- List.filter (fun p -> List.mem p current) v.v_sleep;
-          d.d_marks <- (key, d.d_depth) :: d.d_marks
+          d.d_marks <- (v, d.d_depth) :: d.d_marks
         | None ->
-          Hashtbl.add d.d_visited key { v_sleep = current; v_sum = []; v_subs = [] };
-          d.d_marks <- (key, d.d_depth) :: d.d_marks
-      end
+          let v = new_vent current in
+          Hashtbl.add d.d_visited k v;
+          d.d_marks <- (v, d.d_depth) :: d.d_marks)
     end
 
 let interrupted (s : _ sched) =
@@ -269,7 +298,24 @@ let interrupted (s : _ sched) =
 
 (* ---- the persistent scheduler tree: operations ---- *)
 
-let new_node enabled = { nd_enabled = enabled; nd_todo = []; nd_edges = [] }
+let new_node enabled =
+  { nd_enabled = enabled; nd_todo = []; nd_edges = []; nd_clean = false; nd_vent = None }
+
+(* A todo was added at [nodes.(i)] of a run's path: [nodes.(0..i)] are no
+   longer clean.  A clean node has only clean descendants, so the walk up
+   stops at the first dirty one.  (A run's own path is never clean:
+   [find_next] only returns through dirty nodes and new nodes start dirty,
+   so this matters for the virtual race pass on older runs' paths.) *)
+let dirty nodes i =
+  let k = ref i in
+  while !k >= 0 && nodes.(!k).nd_clean do
+    nodes.(!k).nd_clean <- false;
+    decr k
+  done
+
+let add_todo nodes i decision =
+  nodes.(i).nd_todo <- nodes.(i).nd_todo @ [ decision ];
+  dirty nodes i
 
 let has_decision node p =
   List.exists (fun e -> e.ed_pid = p) node.nd_edges
@@ -291,22 +337,29 @@ let sleep0_of node ~skip =
   gather [] [] node.nd_edges
 
 (* Deepest-first: drain every existing subtree before surfacing a node's
-   own todos, so [sleep0_of] is sound when a todo is finally launched. *)
+   own todos, so [sleep0_of] is sound when a todo is finally launched.  A
+   node found empty is marked clean and skipped until [dirty] resets it,
+   so drained subtrees are not walked again for every schedule.  The path
+   lists each decision with the node that makes it. *)
 let rec find_next node path =
   let rec over_edges = function
     | [] -> None
     | e :: rest -> (
       match e.ed_child with
-      | None -> over_edges rest
-      | Some child -> (
-        match find_next child ((e.ed_pid, e.ed_branch) :: path) with
+      | Some child when not child.nd_clean -> (
+        match find_next child ((e.ed_pid, e.ed_branch, node) :: path) with
         | Some _ as found -> found
-        | None -> over_edges rest))
+        | None -> over_edges rest)
+      | _ -> over_edges rest)
   in
   match over_edges node.nd_edges with
   | Some _ as found -> found
   | None -> (
-    match node.nd_todo with [] -> None | d :: _ -> Some (path, node, d))
+    match node.nd_todo with
+    | [] ->
+      node.nd_clean <- true;
+      None
+    | d :: _ -> Some (path, node, d))
 
 (* ---- exhaustive exploration ---- *)
 
@@ -326,8 +379,6 @@ let pp_stats ppf s =
     (if s.schedules = 1 then "" else "s")
     s.sleep_blocked s.deduped s.elided s.max_depth
     (if exhaustive s then "" else " [BOUNDED]")
-
-exception Schedule_limit of int
 
 type counters = {
   mutable c_schedules : int;
@@ -373,7 +424,7 @@ let incorporate root trace =
                        (fun e -> e.ed_pid = t.t_pid && e.ed_branch = b')
                        node.nd_edges))
               && not (List.mem (t.t_pid, b') node.nd_todo)
-            then node.nd_todo <- node.nd_todo @ [ (t.t_pid, b') ]
+            then add_todo nodes i (t.t_pid, b')
           done;
           e
       in
@@ -384,7 +435,7 @@ let incorporate root trace =
       List.iter
         (fun p ->
           if (not (asleep t.t_sleep p)) && not (has_decision node p) then
-            node.nd_todo <- node.nd_todo @ [ (p, 0) ])
+            add_todo nodes i (p, 0))
         t.t_also;
       if i + 1 < len then begin
         (match edge.ed_child with
@@ -428,7 +479,7 @@ let insertion_in_bounds bounds trace i p =
 let plain_add counters bounds nodes trace i p =
   if not (has_decision nodes.(i) p) then begin
     if insertion_in_bounds bounds trace i p then
-      nodes.(i).nd_todo <- nodes.(i).nd_todo @ [ (p, 0) ]
+      add_todo nodes i (p, 0)
     else counters.c_elided <- counters.c_elided + 1
   end
 
@@ -486,8 +537,9 @@ let compute_hb trace =
   let vc = Array.make_matrix (max len 1) m 0 in
   let seq = Array.make (max len 1) 0 in
   let last_of = Array.make m (-1) in
+  let ix = Array.map (fun t -> pidx t.t_pid) trace in
   for j = 0 to len - 1 do
-    let p = pidx trace.(j).t_pid in
+    let p = ix.(j) in
     let join i =
       for q = 0 to m - 1 do
         if vc.(i).(q) > vc.(j).(q) then vc.(j).(q) <- vc.(i).(q)
@@ -501,7 +553,7 @@ let compute_hb trace =
     seq.(j) <- vc.(j).(p);
     last_of.(p) <- j
   done;
-  fun i j -> i = j || (i < j && vc.(j).(pidx trace.(i).t_pid) >= seq.(i))
+  fun i j -> i = j || (i < j && vc.(j).(ix.(i)) >= seq.(i))
 
 let add_backtracks counters bounds nodes trace hb =
   let len = Array.length trace in
@@ -544,88 +596,103 @@ let virtual_backtracks counters bounds nodes trace hb entries =
         let t = trace.(i) in
         if t.t_pid <> q && dependent t.t_fp fq then begin
           let bridged = ref false in
-          for k = i + 1 to len - 1 do
-            if
-              (not !bridged)
-              && hb i k
-              && (trace.(k).t_pid = q || dependent trace.(k).t_fp fq)
-            then bridged := true
+          let k = ref (i + 1) in
+          while (not !bridged) && !k < len do
+            if hb i !k && (trace.(!k).t_pid = q || dependent trace.(!k).t_fp fq) then
+              bridged := true;
+            incr k
           done;
           if not !bridged then request counters bounds nodes trace i q
         end
       done)
     entries
 
-(* Grow the summary of [key] by [entries], firing the virtual race pass of
-   every run cut at [key] and propagating to the summaries of each such
-   run's own ancestors, to a fixpoint (summaries grow monotonically within
-   a finite footprint universe, so this terminates). *)
-let add_sum visited counters bounds key entries =
+(* Summary entries [(pid, footprint)] are numbered once per walk, so a
+   summary is a set of ints. *)
+type interner = { in_ids : (int * fp, int) Hashtbl.t; in_entries : (int, int * fp) Hashtbl.t }
+
+let intern t e =
+  match Hashtbl.find_opt t.in_ids e with
+  | Some id -> id
+  | None ->
+    let id = Hashtbl.length t.in_ids in
+    Hashtbl.add t.in_ids e id;
+    Hashtbl.add t.in_entries id e;
+    id
+
+let entries_of interner ids = List.map (Hashtbl.find interner.in_entries) ids
+
+(* Grow the summary of [v] by [ids], firing the virtual race pass of every
+   run cut at [v] and propagating to the summaries of each such run's own
+   ancestors, to a fixpoint (summaries grow monotonically within a finite
+   footprint universe, so this terminates). *)
+let add_sum interner counters bounds v ids =
   let queue = Queue.create () in
-  Queue.add (key, entries) queue;
+  Queue.add (v, ids) queue;
   while not (Queue.is_empty queue) do
-    let k, es = Queue.pop queue in
-    let v =
-      match Hashtbl.find_opt visited k with
-      | Some v -> v
-      | None ->
-        let v = { v_sleep = []; v_sum = []; v_subs = [] } in
-        Hashtbl.add visited k v;
-        v
-    in
-    let fresh = List.filter (fun e -> not (List.mem e v.v_sum)) es in
+    let v, ids = Queue.pop queue in
+    let fresh = List.filter (fun id -> not (Hashtbl.mem v.v_set id)) ids in
     if fresh <> [] then begin
-      v.v_sum <- v.v_sum @ fresh;
+      List.iter (fun id -> Hashtbl.replace v.v_set id ()) fresh;
+      v.v_sum <- List.rev_append fresh v.v_sum;
+      let entries = entries_of interner fresh in
       List.iter
         (fun sub ->
-          virtual_backtracks counters bounds sub.s_nodes sub.s_trace sub.s_hb fresh;
-          List.iter (fun (k', _) -> Queue.add (k', fresh) queue) sub.s_marks)
+          virtual_backtracks counters bounds sub.s_nodes sub.s_trace sub.s_hb entries;
+          List.iter (fun (v', _) -> Queue.add (v', fresh) queue) sub.s_marks)
         v.v_subs
     end
   done
 
 (* The per-run summary pass: every marked state along the trace learns the
-   steps that followed it; a run cut at a covered state [k] additionally
-   learns [k]'s summarized continuation (everything below [k] counts as
+   steps that followed it; a run cut at a covered state [v] additionally
+   learns [v]'s summarized continuation (everything below [v] counts as
    below each of its own ancestors too), races its prefix against that
-   summary now, and subscribes for entries [k] gains later. *)
-let update_summaries visited counters bounds nodes trace hb marks cut =
-  let suffix i =
-    let acc = ref [] in
-    for j = Array.length trace - 1 downto i do
-      let e = (trace.(j).t_pid, trace.(j).t_fp) in
-      if not (List.mem e !acc) then acc := e :: !acc
-    done;
-    !acc
-  in
-  List.iter (fun (k, i) -> add_sum visited counters bounds k (suffix i)) marks;
+   summary now, and subscribes for entries [v] gains later.  [suffix.(i)]
+   lists the distinct entries of [trace.(i..)], each at its last
+   occurrence, in trace order — built in one backward sweep. *)
+let update_summaries interner counters bounds nodes trace hb marks cut =
+  let len = Array.length trace in
+  let suffix = Array.make (len + 1) [] in
+  let seen = Array.make (Hashtbl.length interner.in_ids + len) false in
+  for j = len - 1 downto 0 do
+    let id = intern interner (trace.(j).t_pid, trace.(j).t_fp) in
+    if seen.(id) then suffix.(j) <- suffix.(j + 1)
+    else begin
+      seen.(id) <- true;
+      suffix.(j) <- id :: suffix.(j + 1)
+    end
+  done;
+  List.iter (fun (v, i) -> add_sum interner counters bounds v suffix.(i)) marks;
   match cut with
   | None -> ()
-  | Some k ->
-    let v =
-      match Hashtbl.find_opt visited k with
-      | Some v -> v
-      | None ->
-        let v = { v_sleep = []; v_sum = []; v_subs = [] } in
-        Hashtbl.add visited k v;
-        v
-    in
+  | Some v ->
     let sub = { s_trace = trace; s_nodes = nodes; s_hb = hb; s_marks = marks } in
     v.v_subs <- sub :: v.v_subs;
-    virtual_backtracks counters bounds nodes trace hb v.v_sum;
-    List.iter (fun (k', _) -> add_sum visited counters bounds k' v.v_sum) marks
+    (* Entries [v] gains while its summary is pushed to [marks] reach every
+       mark through [sub] anyway, so one snapshot serves the whole loop. *)
+    let sum = List.rev v.v_sum in
+    virtual_backtracks counters bounds nodes trace hb (entries_of interner sum);
+    List.iter (fun (v', _) -> add_sum interner counters bounds v' sum) marks
 
 let explore ?(bounds = no_bounds) ?(max_schedules = 200_000) ~run ~f () =
   let visited = Hashtbl.create 512 in
+  let interner = { in_ids = Hashtbl.create 64; in_entries = Hashtbl.create 64 } in
   let counters =
     { c_schedules = 0; c_sleep_blocked = 0; c_deduped = 0; c_elided = 0; c_depth = 0 }
   in
   let root = ref None in
   let total = ref 0 in
   let continue_ = ref true in
+  (* The cap stops a walk that still has work: the cut counts as elided, so
+     the stats say the walk was not exhaustive. *)
+  let capped () =
+    let hit = !total >= max_schedules in
+    if hit then counters.c_elided <- counters.c_elided + 1;
+    hit
+  in
   let exec prefix div_sleep =
     incr total;
-    if !total > max_schedules then raise (Schedule_limit max_schedules);
     let d =
       {
         d_bounds = bounds;
@@ -656,12 +723,17 @@ let explore ?(bounds = no_bounds) ?(max_schedules = 200_000) ~run ~f () =
     let trace = Array.of_list (List.rev d.d_trace) in
     counters.c_depth <- max counters.c_depth (Array.length trace);
     let nodes = incorporate root trace in
+    (* The node after each marked step keeps the step's dedup entry, so a
+       later replay through it finds the entry without building a key. *)
+    List.iter
+      (fun (v, i) -> if i < Array.length nodes then nodes.(i).nd_vent <- Some v)
+      d.d_marks;
     let hb = compute_hb trace in
     add_backtracks counters bounds nodes trace hb;
     if d.d_marks <> [] || d.d_cut <> None then
-      update_summaries visited counters bounds nodes trace hb d.d_marks d.d_cut
+      update_summaries interner counters bounds nodes trace hb d.d_marks d.d_cut
   in
-  exec [] [];
+  if not (capped ()) then exec [] [];
   (match !root with
   | None -> ()
   | Some r ->
@@ -669,8 +741,9 @@ let explore ?(bounds = no_bounds) ?(max_schedules = 200_000) ~run ~f () =
       if !continue_ then
         match find_next r [] with
         | None -> ()
+        | Some _ when capped () -> ()
         | Some (path_rev, node, ((p, b) as decision)) ->
-          let prefix = List.rev (decision :: path_rev) in
+          let prefix = List.rev ((p, b, node) :: path_rev) in
           let div_sleep = sleep0_of node ~skip:p in
           exec prefix div_sleep;
           (* The divergence decision must have become an edge; if the runner
@@ -679,7 +752,6 @@ let explore ?(bounds = no_bounds) ?(max_schedules = 200_000) ~run ~f () =
             node.nd_todo <- List.filter (fun d' -> d' <> decision) node.nd_todo;
             counters.c_elided <- counters.c_elided + 1
           end;
-          ignore b;
           loop ()
     in
     loop ());

@@ -111,9 +111,12 @@ val also : 'k sched -> pid:int -> unit
     other processes, then fence" would be silently unexplored.  Call
     after {!commit}, before the next {!choose}. *)
 
-val mark : 'k sched -> key:'k -> unit
+val mark : 'k sched -> key:(unit -> 'k) -> unit
 (** Optional state dedup (stateful DPOR), called after {!commit} with a
-    canonical key of the resulting state.  A revisit whose stored sleep
+    thunk building a canonical key of the resulting state.  The thunk runs
+    only where the state is new to the tree: a replayed position finds its
+    dedup entry on the tree node, so a runner that marks every step never
+    builds a key while replaying.  A revisit whose stored sleep
     set is covered by the current one aborts the run (the next {!choose}
     returns [None]).  A cut run's race detection would otherwise be
     incomplete — races between its prefix and its never-executed
@@ -123,7 +126,7 @@ val mark : 'k sched -> key:'k -> unit
     that summary as {e virtual steps}, and re-fires the analysis when the
     summary grows later.  The key must determine both the future behaviour
     (memory, per-process continuations) and the outcome-relevant past, as
-    {!Explore.iter_reduced}'s key does.  Runners that cannot canonicalize
+    {!Explore.iter_dpor}'s key does.  Runners that cannot canonicalize
     state simply never call [mark]. *)
 
 val interrupted : 'k sched -> bool
@@ -152,12 +155,6 @@ val exhaustive : stats -> bool
 
 val pp_stats : Format.formatter -> stats -> unit
 
-exception Schedule_limit of int
-(** Raised by {!explore} when the total number of runs (complete or
-    aborted) would exceed [max_schedules] — a safety valve against
-    state-space blowup, not a bound: there is no honest partial answer at
-    this level, so it is an error. *)
-
 val explore :
   ?bounds:bounds ->
   ?max_schedules:int ->
@@ -172,7 +169,9 @@ val explore :
     from runner failures, which are counted as elided).  [f] receives
     each completed run's result; returning [false] stops the exploration
     early (the stats then cover only the explored part).
-    [max_schedules] defaults to [200_000]. *)
+    [max_schedules] (default [200_000]) caps the runs executed, complete
+    or aborted: a walk that reaches it with work left stops there and
+    counts the cut in [elided], so the stats say it is not exhaustive. *)
 
 (** {1 Sampling and replay oracles} *)
 

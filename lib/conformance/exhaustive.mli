@@ -20,8 +20,8 @@
     sound — the walk degrades to bounded enumeration, still exhaustive
     within the bounds.
 
-    Soundness scope is inherited from the sleep-set argument in
-    {!Lb_check.Explore.iter_reduced}: the set of distinct verdicts is preserved;
+    Soundness scope is inherited from the reduction argument in
+    {!Lb_check.Explore.iter_dpor}: the set of distinct verdicts is preserved;
     individual schedule orders are not.  See docs/EXPLORATION.md. *)
 
 open Lb_universal
@@ -67,8 +67,9 @@ val certify_cell :
   cert
 (** Walk every in-bound schedule of one cell (stopping at the first
     failure, which is then shrunk).  [seed] fixes the workload; the walk
-    itself is deterministic.  [max_schedules] (default 200_000) raises
-    {!Lb_check.Sched_tree.Schedule_limit} when exceeded.  [model] (default
+    itself is deterministic.  [max_schedules] (default 200_000) stops the
+    walk there: the cut is counted in [elided], so the cell is reported
+    not exhaustive, and it fails only if a failing schedule was found.  [model] (default
     SC) runs the cell on a relaxed memory: flush pseudo-pids enter the
     DPOR alphabet with their encoded register as footprint, and since the
     constructions use only the fencing LL/SC repertoire, certificates must

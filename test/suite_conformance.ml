@@ -488,6 +488,32 @@ let test_exhaustive_certifies_cell () =
   Alcotest.(check bool) "no counterexample" true
     (cert.Exhaustive.xc_counterexample = None)
 
+let test_exhaustive_schedule_cap () =
+  (* A cap on runs stops the walk instead of raising: the cut counts as
+     elided, the cell reports [BOUNDED] in the same JSON shape as an
+     uncapped cell, and it is still certified — nothing failed. *)
+  let cell ?max_schedules () =
+    Exhaustive.certify_cell ~construction:herlihy ~ot:fetch_inc ~plan_name:"none"
+      ~plan:Fault_plan.none ~n:2 ~ops:1 ~seed:42 ?max_schedules ~max_states:200_000 ()
+  in
+  let capped = cell ~max_schedules:10 () in
+  let stats = capped.Exhaustive.xc_stats in
+  Alcotest.(check bool) "capped cell certified" true (Exhaustive.cert_ok capped);
+  Alcotest.(check int) "10 schedules before the cap" 10 stats.Sched_tree.schedules;
+  Alcotest.(check int) "the cut is the one elided run" 1 stats.Sched_tree.elided;
+  Alcotest.(check bool) "not exhaustive" false (Sched_tree.exhaustive stats);
+  Alcotest.(check bool) "reported [BOUNDED]" true
+    (Astring_contains.contains (Format.asprintf "%a" Exhaustive.pp_cert capped) "[BOUNDED]");
+  let rec shape = function
+    | Json.Obj kvs -> Json.Obj (List.map (fun (k, v) -> (k, shape v)) kvs)
+    | Json.Arr l -> Json.Arr (List.map shape l)
+    | Json.Int _ -> Json.Int 0
+    | Json.Bool _ -> Json.Bool false
+    | j -> j
+  in
+  Alcotest.(check bool) "same JSON shape as an uncapped cell" true
+    (shape (Exhaustive.json_of_cert capped) = shape (Exhaustive.json_of_cert (cell ())))
+
 let test_exhaustive_impure_plan_degrades () =
   (* A non-empty fault plan makes every step blocking: nothing commutes,
      the walk degrades to bounded enumeration — but still completes and
@@ -577,6 +603,8 @@ let suite =
       test_matrix_jobs_invariant;
     Alcotest.test_case "exhaustive: clean cell certified, counts pinned" `Quick
       test_exhaustive_certifies_cell;
+    Alcotest.test_case "exhaustive: schedule cap reports a bounded cell" `Quick
+      test_exhaustive_schedule_cap;
     Alcotest.test_case "exhaustive: impure plan degrades but certifies" `Quick
       test_exhaustive_impure_plan_degrades;
     Alcotest.test_case "exhaustive: every mutant killed in-bounds" `Slow
