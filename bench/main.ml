@@ -143,12 +143,36 @@ let conformance_check_test n =
             (Schedule_fuzz.run_once ~construction ~ot ~plan:Fault_plan.none ~n ~ops:3
                ~seed:7 ~max_states:200_000 ~scheduler:(Scheduler.random ~seed:7) ())))
 
+let exhaustive_walk_test n =
+  (* One bounded-exhaustive certification of herlihy/fetch&inc: the DPOR
+     walk over every schedule within one pre-emption, race pass included.
+     n=3 is 204 schedules of depth 36, small enough for many samples. *)
+  Bechamel.Test.make
+    ~name:(Printf.sprintf "exhaustive walk herlihy fetch&inc n=%d preempt<=1" n)
+    (Bechamel.Staged.stage
+       (let ot =
+          match Schedule_fuzz.find_type "fetch-inc" with
+          | Some ot -> ot
+          | None -> failwith "fetch-inc object type missing"
+        in
+        let construction =
+          match Fault_targets.find "herlihy" with
+          | Some c -> c
+          | None -> failwith "herlihy construction missing"
+        in
+        let bounds = { Sched_tree.no_bounds with Sched_tree.preempt = Some 1 } in
+        fun () ->
+          ignore
+            (Lb_conformance.Exhaustive.certify_cell ~construction ~ot ~plan_name:"none"
+               ~plan:Fault_plan.none ~n ~ops:1 ~seed:1 ~bounds ~max_states:200_000 ())))
+
 let timing () =
   let open Bechamel in
   let tests =
     [
       memory_ops_test;
       conformance_check_test 4;
+      exhaustive_walk_test 3;
       secretive_test 256;
       secretive_test 4096;
       adversary_round_test 64;

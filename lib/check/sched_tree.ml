@@ -3,7 +3,7 @@ open Lb_runtime
 
 type fp = { regs : int list; blocking : bool }
 
-(* No closure: the race passes call this O(len²) times per run. *)
+(* No closure: [wake] calls this for every sleeping entry on every step. *)
 let rec overlap xs ys = match xs with [] -> false | x :: rest -> List.mem x ys || overlap rest ys
 
 let dependent a b = a.blocking || b.blocking || overlap a.regs b.regs
@@ -60,6 +60,36 @@ type status = Running | Sleep_blocked | Bound_blocked | Deduped
 
 (* ---- the persistent scheduler tree (types; operations further down) ---- *)
 
+(* Happens-before over a trace — program order plus [dependent] — as
+   vector clocks in flat int arrays.  Processes get columns in order of
+   first appearance.  Row [j] of [c_vc] holds, per column, the last step
+   of that process that happens before-or-at step [j] (-1: none), so step
+   [i] happens before [j] iff [vc.(j).(col i) >= i].
+
+   Each row joins only a few earlier rows.  Steps on one register are
+   pairwise dependent, so they form a chain whose last step dominates the
+   rest; blocking steps are dependent with everything, so they form a
+   chain too.  A step therefore joins its process's previous step, then
+   either the last step of every process (when it is blocking) or the
+   last blocking step and the last step on each of its registers —
+   exactly the clocks of joining every dependent earlier step.  Each join
+   is O(m), so the clocks cost O(len·m·(m + regs per step)) instead of
+   testing every earlier step.  [Layout] allocates registers densely, so
+   the last step per register is an array over the trace's register
+   range. *)
+type clocks = {
+  c_m : int;  (* columns (distinct processes) *)
+  c_pids : int array;  (* column -> pid *)
+  c_col : int array;  (* step -> column *)
+  c_vc : int array;  (* len x c_m, row-major *)
+  c_prev : int array;  (* step -> its process's previous step, or -1 *)
+  c_last : int array;  (* column -> its process's last step *)
+  c_last_blocking : int;  (* -1: none *)
+  c_reg_lo : int;
+  c_reg_last : int array;  (* register - c_reg_lo -> last step on it, or -1 *)
+  c_cand : int array;  (* scratch of [find_races], one slot per column *)
+}
+
 type node = {
   nd_enabled : int list;
   mutable nd_todo : (int * int) list;  (* decisions awaiting exploration *)
@@ -92,7 +122,7 @@ and vent = {
 and sub = {
   s_trace : tstep array;
   s_nodes : node array;
-  s_hb : int -> int -> bool;
+  s_clocks : clocks;
   s_marks : (vent * int) list;
 }
 
@@ -517,95 +547,174 @@ let request counters bounds nodes trace i p =
           add_point counters bounds nodes trace i q)
       t.t_enabled
 
-(* Happens-before over the trace — program order plus pairwise dependence
-   — as vector clocks.  [vc.(j).(q)] counts how many steps of process
-   index [q] happen before-or-at step [j]; [seq.(j)] is step [j]'s own
-   occurrence number within its process. *)
-let compute_hb trace =
-  let len = Array.length trace in
-  let pids =
-    Array.fold_left (fun acc t -> if List.mem t.t_pid acc then acc else t.t_pid :: acc) [] trace
-  in
-  let pidx p =
-    let rec go i = function
-      | [] -> assert false
-      | q :: rest -> if q = p then i else go (i + 1) rest
-    in
-    go 0 pids
-  in
-  let m = max (List.length pids) 1 in
-  let vc = Array.make_matrix (max len 1) m 0 in
-  let seq = Array.make (max len 1) 0 in
-  let last_of = Array.make m (-1) in
-  let ix = Array.map (fun t -> pidx t.t_pid) trace in
-  for j = 0 to len - 1 do
-    let p = ix.(j) in
-    let join i =
-      for q = 0 to m - 1 do
-        if vc.(i).(q) > vc.(j).(q) then vc.(j).(q) <- vc.(i).(q)
-      done
-    in
-    if last_of.(p) >= 0 then join last_of.(p);
-    for i = 0 to j - 1 do
-      if dependent trace.(i).t_fp trace.(j).t_fp then join i
-    done;
-    vc.(j).(p) <- vc.(j).(p) + 1;
-    seq.(j) <- vc.(j).(p);
-    last_of.(p) <- j
-  done;
-  fun i j -> i = j || (i < j && vc.(j).(ix.(i)) >= seq.(i))
+(* The row at offset [at] of [dst] := its pointwise max with row [i] of
+   [vc] (no-op for [i = -1]). *)
+let join (vc : int array) m (dst : int array) at i =
+  if i >= 0 then
+    for q = 0 to m - 1 do
+      let v = vc.((i * m) + q) in
+      if v > dst.(at + q) then dst.(at + q) <- v
+    done
 
-let add_backtracks counters bounds nodes trace hb =
-  let len = Array.length trace in
-  (* A race (i, j) is reversible when no third step bridges it in
-     happens-before order; only reversible races need backtracking points
-     (source-DPOR): deeper races re-appear as reversible ones in the
-     re-explored subtrees. *)
-  let reversible i j =
-    let bridged = ref false in
-    let k = ref (i + 1) in
-    while (not !bridged) && !k < j do
-      if hb i !k && hb !k j then bridged := true;
+(* Join the last step on each of [regs]; [reg_last] covers registers
+   [lo ..]. *)
+let rec join_regs vc m dst at lo reg_last = function
+  | [] -> ()
+  | r :: rest ->
+    let k = r - lo in
+    if k >= 0 && k < Array.length reg_last then join vc m dst at reg_last.(k);
+    join_regs vc m dst at lo reg_last rest
+
+let rec set_last reg_last lo j = function
+  | [] -> ()
+  | r :: rest ->
+    reg_last.(r - lo) <- j;
+    set_last reg_last lo j rest
+
+let rec widen (lo : int ref) (hi : int ref) = function
+  | [] -> ()
+  | r :: rest ->
+    if r < !lo then lo := r;
+    if r > !hi then hi := r;
+    widen lo hi rest
+
+let clocks ~len ~pid ~fp =
+  let pids = Array.make len 0 and col = Array.make len 0 and m = ref 0 in
+  let rlo = ref max_int and rhi = ref min_int in
+  for j = 0 to len - 1 do
+    let p = pid j and k = ref 0 in
+    while !k < !m && pids.(!k) <> p do
       incr k
     done;
-    not !bridged
-  in
-  for j = 1 to len - 1 do
-    let p = trace.(j).t_pid in
-    let fpj = trace.(j).t_fp in
-    for i = j - 1 downto 0 do
-      let t = trace.(i) in
-      if t.t_pid <> p && dependent t.t_fp fpj && reversible i j then
-        request counters bounds nodes trace i p
-    done
+    if !k = !m then begin
+      pids.(!m) <- p;
+      incr m
+    end;
+    col.(j) <- !k;
+    widen rlo rhi (fp j).regs
+  done;
+  let m = !m and rlo = !rlo in
+  let vc = Array.make (len * m) (-1) in
+  let prev = Array.make len (-1) in
+  let last = Array.make m (-1) in
+  let reg_last = Array.make (if !rhi < rlo then 0 else !rhi - rlo + 1) (-1) in
+  let last_blocking = ref (-1) in
+  for j = 0 to len - 1 do
+    let p = col.(j) and f = fp j and row = j * m in
+    prev.(j) <- last.(p);
+    join vc m vc row last.(p);
+    if f.blocking then
+      for q = 0 to m - 1 do
+        join vc m vc row last.(q)
+      done
+    else begin
+      join vc m vc row !last_blocking;
+      join_regs vc m vc row rlo reg_last f.regs
+    end;
+    vc.(row + p) <- j;
+    last.(p) <- j;
+    if f.blocking then last_blocking := j;
+    set_last reg_last rlo j f.regs
+  done;
+  {
+    c_m = m;
+    c_pids = Array.sub pids 0 m;
+    c_col = col;
+    c_vc = vc;
+    c_prev = prev;
+    c_last = last;
+    c_last_blocking = !last_blocking;
+    c_reg_lo = rlo;
+    c_reg_last = reg_last;
+    c_cand = Array.make m (-1);
+  }
+
+(* The reversible races of a step of column [own] whose clock row sits in
+   [row] at offset [base] ([own] is -1 for a process absent from the
+   trace; [own_prev] is its previous step, or -1).  A race (i, j) is
+   reversible when no step k, i < k < j, has i -> k -> j in
+   happens-before order; only reversible races need backtracking points
+   (source-DPOR): deeper races re-appear as reversible ones in the
+   re-explored subtrees.
+
+   Only the last step of each other column r that happens before j can be
+   a reversible partner — an earlier one reaches j through it — and a
+   candidate with no bridge is necessarily dependent with j, since
+   happens-before reaches j only through j's dependent predecessors.  Any
+   bridge k can be moved to the last step before j of its own column,
+   which is j's own previous step or the last such step of a third
+   column.  So the candidate of r is bridged iff it happens before one of
+   those — O(m²) per step.  The unbridged candidates are left in
+   [c_cand]. *)
+let find_races c row base ~own ~own_prev =
+  let m = c.c_m and vc = c.c_vc in
+  for r = 0 to m - 1 do
+    let i = row.(base + r) in
+    c.c_cand.(r) <- -1;
+    if r <> own && i >= 0 then begin
+      let bridged = ref (own_prev >= 0 && vc.((own_prev * m) + r) >= i) in
+      let t = ref 0 in
+      while (not !bridged) && !t < m do
+        let k = row.(base + !t) in
+        if !t <> r && !t <> own && k >= 0 && vc.((k * m) + r) >= i then bridged := true;
+        incr t
+      done;
+      if not !bridged then c.c_cand.(r) <- i
+    end
   done
 
-(* Race the trace's steps against [(q, fq)] steps known to occur somewhere
-   below the trace's final state (stateful DPOR's virtual steps): a cut
-   run never executed its continuation, so the races its race pass would
-   have found against the prefix must be reconstructed from the summary.
-   A virtual step happens after every real step, so a race (i, virtual) is
-   bridged by any real [k > i] that happens-after [i] and precedes the
-   virtual step in happens-before order — [q]'s own steps or steps
-   dependent with [fq]. *)
-let virtual_backtracks counters bounds nodes trace hb entries =
-  let len = Array.length trace in
-  List.iter
-    (fun (q, fq) ->
-      for i = len - 1 downto 0 do
-        let t = trace.(i) in
-        if t.t_pid <> q && dependent t.t_fp fq then begin
-          let bridged = ref false in
-          let k = ref (i + 1) in
-          while (not !bridged) && !k < len do
-            if hb i !k && (trace.(!k).t_pid = q || dependent trace.(!k).t_fp fq) then
-              bridged := true;
-            incr k
-          done;
-          if not !bridged then request counters bounds nodes trace i q
-        end
-      done)
-    entries
+(* [emit i p] for each race partner [i] in [c_cand], latest first, as a
+   backwards scan over the trace finds them. *)
+let rec drain c p emit =
+  let at = ref (-1) in
+  for r = 0 to c.c_m - 1 do
+    if c.c_cand.(r) >= 0 && (!at < 0 || c.c_cand.(r) > c.c_cand.(!at)) then at := r
+  done;
+  if !at >= 0 then begin
+    emit c.c_cand.(!at) p;
+    c.c_cand.(!at) <- -1;
+    drain c p emit
+  end
+
+(* Every reversible race [(i, j)] of the trace, as [emit i (pid of j)],
+   for [j] in trace order. *)
+let iter_races c emit =
+  let m = c.c_m in
+  for j = 1 to Array.length c.c_col - 1 do
+    let own = c.c_col.(j) in
+    find_races c c.c_vc (j * m) ~own ~own_prev:c.c_prev.(j);
+    drain c c.c_pids.(own) emit
+  done
+
+(* The races of the trace against a virtual step [(q, fq)] after its end,
+   as [emit i q] (stateful DPOR's virtual steps: a cut run never executed
+   its continuation, so the races its race pass would have found against
+   the prefix must be reconstructed from the summary).  The virtual row
+   joins [q]'s last step and every step dependent with [fq], by the same
+   chains as a real step's row. *)
+let iter_virtual_races c (q, fq) emit =
+  let m = c.c_m and vc = c.c_vc in
+  let row = Array.make m (-1) in
+  let own = ref (-1) in
+  Array.iteri (fun r p -> if p = q then own := r) c.c_pids;
+  let own_prev = if !own < 0 then -1 else c.c_last.(!own) in
+  join vc m row 0 own_prev;
+  if fq.blocking then Array.iter (join vc m row 0) c.c_last
+  else begin
+    join vc m row 0 c.c_last_blocking;
+    join_regs vc m row 0 c.c_reg_lo c.c_reg_last fq.regs
+  end;
+  find_races c row 0 ~own:!own ~own_prev;
+  drain c q emit
+
+let races ?against steps =
+  let c =
+    clocks ~len:(Array.length steps) ~pid:(fun j -> fst steps.(j)) ~fp:(fun j -> snd steps.(j))
+  in
+  let acc = ref [] in
+  let emit i p = acc := (i, p) :: !acc in
+  (match against with None -> iter_races c emit | Some e -> iter_virtual_races c e emit);
+  List.rev !acc
 
 (* Summary entries [(pid, footprint)] are numbered once per walk, so a
    summary is a set of ints. *)
@@ -638,7 +747,8 @@ let add_sum interner counters bounds v ids =
       let entries = entries_of interner fresh in
       List.iter
         (fun sub ->
-          virtual_backtracks counters bounds sub.s_nodes sub.s_trace sub.s_hb entries;
+          let emit = request counters bounds sub.s_nodes sub.s_trace in
+          List.iter (fun e -> iter_virtual_races sub.s_clocks e emit) entries;
           List.iter (fun (v', _) -> Queue.add (v', fresh) queue) sub.s_marks)
         v.v_subs
     end
@@ -651,7 +761,7 @@ let add_sum interner counters bounds v ids =
    summary now, and subscribes for entries [v] gains later.  [suffix.(i)]
    lists the distinct entries of [trace.(i..)], each at its last
    occurrence, in trace order — built in one backward sweep. *)
-let update_summaries interner counters bounds nodes trace hb marks cut =
+let update_summaries interner counters bounds nodes trace clocks marks cut =
   let len = Array.length trace in
   let suffix = Array.make (len + 1) [] in
   let seen = Array.make (Hashtbl.length interner.in_ids + len) false in
@@ -667,12 +777,14 @@ let update_summaries interner counters bounds nodes trace hb marks cut =
   match cut with
   | None -> ()
   | Some v ->
-    let sub = { s_trace = trace; s_nodes = nodes; s_hb = hb; s_marks = marks } in
+    let sub = { s_trace = trace; s_nodes = nodes; s_clocks = clocks; s_marks = marks } in
     v.v_subs <- sub :: v.v_subs;
     (* Entries [v] gains while its summary is pushed to [marks] reach every
        mark through [sub] anyway, so one snapshot serves the whole loop. *)
     let sum = List.rev v.v_sum in
-    virtual_backtracks counters bounds nodes trace hb (entries_of interner sum);
+    List.iter
+      (fun e -> iter_virtual_races clocks e (request counters bounds nodes trace))
+      (entries_of interner sum);
     List.iter (fun (v', _) -> add_sum interner counters bounds v' sum) marks
 
 let explore ?(bounds = no_bounds) ?(max_schedules = 200_000) ~run ~f () =
@@ -728,10 +840,12 @@ let explore ?(bounds = no_bounds) ?(max_schedules = 200_000) ~run ~f () =
     List.iter
       (fun (v, i) -> if i < Array.length nodes then nodes.(i).nd_vent <- Some v)
       d.d_marks;
-    let hb = compute_hb trace in
-    add_backtracks counters bounds nodes trace hb;
+    let clocks =
+      clocks ~len:(Array.length trace) ~pid:(fun j -> trace.(j).t_pid) ~fp:(fun j -> trace.(j).t_fp)
+    in
+    iter_races clocks (request counters bounds nodes trace);
     if d.d_marks <> [] || d.d_cut <> None then
-      update_summaries interner counters bounds nodes trace hb d.d_marks d.d_cut
+      update_summaries interner counters bounds nodes trace clocks d.d_marks d.d_cut
   in
   if not (capped ()) then exec [] [];
   (match !root with

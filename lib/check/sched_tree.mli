@@ -143,9 +143,16 @@ type stats = {
           redundant interleavings, no loss. *)
   deduped : int;  (** runs abandoned at a previously-visited state. *)
   elided : int;
-      (** schedules provably dropped by the bounds (cut runs plus todo
-          entries rejected at insertion) — nonzero means the exploration
-          was {e not} exhaustive. *)
+      (** schedules provably dropped by the bounds — nonzero means the
+          exploration was {e not} exhaustive.  It adds cut runs to
+          rejected todo insertions, and it counts a rejection every time a
+          race pass meets it, not once per todo entry.  Every run re-races
+          its whole trace, replayed prefix included, so a rejection inside
+          a prefix shared by several runs is counted once per run: the
+          herlihy fetch&inc n=4 cell at pre-emption bound 1 reports 4186,
+          where racing only each run's new suffix finds the same 1896
+          schedules and counts 3718.  Read it as a flag and a rough size,
+          not as a number of distinct schedules. *)
   max_depth : int;  (** longest schedule executed, in decisions. *)
 }
 
@@ -172,6 +179,19 @@ val explore :
     [max_schedules] (default [200_000]) caps the runs executed, complete
     or aborted: a walk that reaches it with work left stops there and
     counts the cut in [elided], so the stats say it is not exhaustive. *)
+
+val races : ?against:int * fp -> (int * fp) array -> (int * int) list
+(** The race pass of {!explore} on its own, over a trace of
+    [(pid, footprint)] steps.  It returns the backtracking requests
+    [(position, pid)] in the order the walk issues them: for each step [j]
+    in trace order, every {e reversible} race [(i, j)] in descending [i],
+    as [(i, pid of j)].  A race is a pair of dependent steps of different
+    processes; it is reversible when no third step [k] lies between them
+    in happens-before order (program order plus {!dependent}).  With
+    [~against:(q, fq)] it returns instead the reversible races of the
+    trace against a {e virtual} step of process [q] with footprint [fq]
+    that follows the whole trace, as [(i, q)] in descending [i].  Cost
+    O(len·m·(m + regs per step)) for [m] processes. *)
 
 (** {1 Sampling and replay oracles} *)
 

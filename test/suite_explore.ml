@@ -439,6 +439,112 @@ let prop_dpor_agrees =
          in
          full = dpor && full = dedup))
 
+(* The race pass's oracle: happens-before by joining every dependent
+   earlier step, and reversibility by scanning every step between the two
+   racing ones — O(len³), the direct reading of the definitions.  A race
+   (i, j) is reversible when no k, i < k < j, has i -> k -> j; against a
+   virtual step (q, fq) after the trace, k bridges when i -> k and k is
+   q's or dependent with fq. *)
+let oracle_hb steps =
+  let len = Array.length steps in
+  let pids = List.sort_uniq compare (Array.to_list (Array.map fst steps)) in
+  let pidx p =
+    let rec go i = function
+      | [] -> assert false
+      | q :: rest -> if q = p then i else go (i + 1) rest
+    in
+    go 0 pids
+  in
+  let m = max (List.length pids) 1 in
+  let vc = Array.make_matrix (max len 1) m 0 in
+  let seq = Array.make (max len 1) 0 in
+  let last_of = Array.make m (-1) in
+  let ix = Array.map (fun (p, _) -> pidx p) steps in
+  for j = 0 to len - 1 do
+    let join i = Array.iteri (fun q v -> if v > vc.(j).(q) then vc.(j).(q) <- v) vc.(i) in
+    if last_of.(ix.(j)) >= 0 then join last_of.(ix.(j));
+    for i = 0 to j - 1 do
+      if Sched_tree.dependent (snd steps.(i)) (snd steps.(j)) then join i
+    done;
+    vc.(j).(ix.(j)) <- vc.(j).(ix.(j)) + 1;
+    seq.(j) <- vc.(j).(ix.(j));
+    last_of.(ix.(j)) <- j
+  done;
+  fun i j -> i = j || (i < j && vc.(j).(ix.(i)) >= seq.(i))
+
+let oracle_races ?against steps =
+  let len = Array.length steps in
+  let hb = oracle_hb steps in
+  let bridged i j ~via =
+    let found = ref false in
+    for k = i + 1 to j - 1 do
+      if hb i k && via k then found := true
+    done;
+    !found
+  in
+  let acc = ref [] in
+  (match against with
+  | None ->
+    for j = 1 to len - 1 do
+      let p, fpj = steps.(j) in
+      for i = j - 1 downto 0 do
+        let q, fpi = steps.(i) in
+        if q <> p && Sched_tree.dependent fpi fpj && not (bridged i j ~via:(fun k -> hb k j)) then
+          acc := (i, p) :: !acc
+      done
+    done
+  | Some (q, fq) ->
+    let via k = fst steps.(k) = q || Sched_tree.dependent (snd steps.(k)) fq in
+    for i = len - 1 downto 0 do
+      let p, fpi = steps.(i) in
+      if p <> q && Sched_tree.dependent fpi fq && not (bridged i len ~via) then
+        acc := (i, q) :: !acc
+    done);
+  List.rev !acc
+
+(* The walk's clock-driven race pass issues exactly the oracle's requests,
+   in the same order, for real steps and for a virtual step — including
+   virtual steps of a process absent from the trace.  Steps mix registers
+   0..4 (one or two), about 10 % blocking steps, and empty-footprint
+   fences. *)
+let prop_races_match_oracle =
+  let open QCheck in
+  let gen_fp =
+    Gen.(
+      let* kind = int_bound 19 in
+      if kind < 2 then
+        map (fun regs -> { Sched_tree.regs; blocking = true }) (list_size (int_bound 1) (int_bound 4))
+      else if kind < 4 then return { Sched_tree.regs = []; blocking = false }
+      else
+        map (fun regs -> { Sched_tree.regs = List.sort_uniq compare regs; blocking = false })
+          (list_size (int_range 1 2) (int_bound 4)))
+  in
+  let gen =
+    Gen.(
+      (* Sparse pids, like flush pseudo-pids: 0, 3, 6, ... *)
+      let* pids = int_range 2 5 in
+      let pid = map (fun k -> 3 * k) (int_bound (pids - 1)) in
+      let* steps = array_size (int_bound 60) (pair pid gen_fp) in
+      let* q = map (fun k -> 3 * k) (int_bound pids) in
+      let* fq = gen_fp in
+      return (steps, (q, fq)))
+  in
+  let print_fp (f : Sched_tree.fp) =
+    Printf.sprintf "{%s%s}" (String.concat "," (List.map string_of_int f.regs))
+      (if f.blocking then ";B" else "")
+  in
+  let print (steps, (q, fq)) =
+    Printf.sprintf "[%s] against (%d, %s)"
+      (String.concat " "
+         (Array.to_list (Array.map (fun (p, f) -> Printf.sprintf "%d%s" p (print_fp f)) steps)))
+      q (print_fp fq)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"clock race pass = O(len^3) oracle" (make ~print gen)
+       (fun (steps, against) ->
+         Sched_tree.races steps = oracle_races steps
+         && Sched_tree.races ~against steps = oracle_races ~against steps))
+
 (* The canonical-count property: with state dedup on, the surviving
    schedule set has one representative per covered class.  The counts are
    pinned as literals (the sleep-set explorer this walk replaced landed on
@@ -724,6 +830,7 @@ let suite =
     Alcotest.test_case "reduced = full under a fault plan" `Slow test_reduced_under_fault_plan;
     Alcotest.test_case "exhaustive CAS linearizability" `Slow test_exhaustive_cas;
     prop_dpor_agrees;
+    prop_races_match_oracle;
     Alcotest.test_case "dpor+dedup counts = reduced counts (corpus)" `Slow
       test_dpor_corpus_agreement;
     Alcotest.test_case "bounded dpor beats sleep-set POR (tree-collect)" `Slow
